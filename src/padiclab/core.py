@@ -6,12 +6,23 @@ data, never an error: every operation states how many digits of its
 result are known.  Nothing is rounded, and equality is only ever
 asserted at a stated precision.
 
+One codec converts between a residue and its digits.  Base 2 goes
+through ``format(value, "b")`` one way and ``int(text, 2)`` the other.
+Every other base splits the residue by repeated halving into pieces of
+a few digits, at most 2**12 in value, and reads each piece's digits
+from a per-base table (bases above 64 keep one-digit pieces and need no
+table); the inverse joins neighbouring digits pairwise the same way.
+Both directions take a few big-integer divisions or products instead
+of one step per digit.
+
 All objects are immutable and all functions are pure, so everything in
-this module is safe for unrestricted concurrent use.
+this module is safe for unrestricted concurrent use (a per-base table
+is never changed once built).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +60,78 @@ def base_multiplicity(m: int, base: int) -> int | float:
     return t
 
 
+# bytes.translate tables between digit values 0-9 and their characters.
+_TO_CHARS = bytes.maketrans(bytes(range(10)), b"0123456789")
+_FROM_CHARS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+# Bound on the value of a table piece: a base b table has one entry per
+# value below b**width, the largest such power at most this bound.
+_PIECE_LIMIT = 1 << 12
+
+
+@functools.lru_cache(maxsize=64)
+def _pieces(base: int) -> tuple[int, list[bytes] | None]:
+    """(width, digits): ``digits[v]`` holds the ``width`` little-endian
+    digits of each v below base**width as bytes.
+
+    A base above 64 has one-digit pieces, which are the digits
+    themselves, so it needs no table (and above 255 fits no byte).
+    """
+    width = 1
+    while base ** (width + 1) <= _PIECE_LIMIT:
+        width += 1
+    if width == 1:
+        return 1, None
+    singles = [bytes((d,)) for d in range(base)]
+    digits = singles
+    for _ in range(width - 1):
+        # v = rest * base + low, whose digits are low's then rest's.
+        digits = [low + rest for rest in digits for low in singles]
+    return width, digits
+
+
+def _split(value: int, unit: int, count: int) -> list[int]:
+    """Little-endian base-``unit`` pieces of value < unit**count.
+
+    Halves every piece once per level, so the list holds the least power
+    of two not below ``count`` pieces (at least two); the surplus high
+    pieces are 0.
+    """
+    powers = [unit]
+    while 1 << len(powers) < count:
+        powers.append(powers[-1] * powers[-1])
+    parts = [value]
+    for power in reversed(powers):
+        parts = [half for q, r in map(divmod, parts, [power] * len(parts))
+                 for half in (r, q)]
+    return parts
+
+
 def _digits_of(value: int, base: int, precision: int) -> tuple[int, ...]:
+    """Little-endian digits of ``value mod base**precision``."""
+    if base == 2:
+        bits = format(value & ((1 << precision) - 1), f"0{precision}b")
+        return tuple(bits.encode("ascii")[::-1].translate(_FROM_CHARS))
     value %= base**precision
-    out = []
-    for _ in range(precision):
-        value, d = divmod(value, base)
-        out.append(d)
-    return tuple(out)
+    width, digits = _pieces(base)
+    pieces = _split(value, base**width, -(-precision // width))
+    if digits is not None:
+        pieces = b"".join(map(digits.__getitem__, pieces))
+    return tuple(pieces[:precision])
+
+
+def _value_of(digits: tuple[int, ...], base: int) -> int:
+    """Inverse of _digits_of: ``sum(d * base**i)`` over the digits,
+    joining neighbours pairwise as _split halves."""
+    if base == 2:
+        return int(bytes(digits)[::-1].translate(_TO_CHARS), 2)
+    parts, unit = list(digits), base
+    while len(parts) > 1:
+        if len(parts) % 2:
+            parts.append(0)
+        parts = [low + high * unit for low, high in zip(parts[::2], parts[1::2])]
+        unit *= unit
+    return parts[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +154,7 @@ class PadicApprox:
         _check_base(self.base)
         object.__setattr__(self, "digits", tuple(self.digits))
         _check_precision(len(self.digits))
-        if any(d < 0 or d >= self.base for d in self.digits):
+        if min(self.digits) < 0 or max(self.digits) >= self.base:
             raise ValueError("digits must lie in [0, base)")
 
     @classmethod
@@ -97,10 +173,7 @@ class PadicApprox:
 
     def residue(self) -> int:
         """The represented integer residue in [0, base**precision)."""
-        acc = 0
-        for d in reversed(self.digits):
-            acc = acc * self.base + d
-        return acc
+        return _value_of(self.digits, self.base)
 
     def valuation(self) -> int | float:
         """Index of the lowest nonzero digit; math.inf if all are zero.
@@ -184,7 +257,7 @@ class PadicApprox:
         single-character digits; use ``digits`` directly instead."""
         if self.base > 10:
             raise ValueError("digit_string requires base <= 10")
-        return "".join(str(d) for d in self.digits)
+        return bytes(self.digits).translate(_TO_CHARS).decode("ascii")
 
     def to_record(self) -> dict:
         v = self.valuation()
@@ -207,7 +280,7 @@ class PadicApprox:
 
     def __repr__(self) -> str:
         if self.base <= 10:
-            body = repr("".join(str(d) for d in self.digits))
+            body = repr(self.digit_string())
         else:
             body = list(self.digits)
         return f"PadicApprox(base={self.base}, digits={body})"

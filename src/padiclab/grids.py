@@ -5,16 +5,26 @@ Base-2 grids serialize as plain-text PBM (P1), larger bases as
 plain-text PGM (P2) with maxval = base - 1 and pixel = digit value.
 Cells a shear moved out of range hold a sentinel and render as
 background.  Emission is byte-for-byte deterministic, so images diff
-cleanly in tests.
+cleanly in tests, and atomic: an image file is written under a
+temporary name and renamed over its target, so a failed write leaves
+no partial file.  Reading accepts plain PBM/PGM as netpbm defines it,
+including ``#`` comments in the header and P1 pixels without
+separators.
+
+Rows of bases up to 10 render and parse as bytes: every pixel is one
+character, so a whole row or image goes through ``bytes.translate``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
+import struct
 from dataclasses import dataclass
 
 from .analysis import padic_log
-from .core import PadicApprox, _digits_of
+from .core import _FROM_CHARS, _TO_CHARS, PadicApprox, _digits_of
 from .shear import SENTINEL, shear_rows
 
 __all__ = [
@@ -55,10 +65,15 @@ class DigitGrid:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
             raise ValueError("all rows must have equal length")
-        for r in rows:
-            for d in r:
-                if d != SENTINEL and not 0 <= d < self.base:
-                    raise ValueError(f"digit {d} out of range for base {self.base}")
+        # Valid cells are SENTINEL (-1) and 0..base-1, one contiguous
+        # range, so the distinct cell values need only a min and a max.
+        cells = set().union(*rows)
+        if min(cells) < SENTINEL or max(cells) >= self.base:
+            bad = next(
+                d for r in rows for d in r
+                if d != SENTINEL and not 0 <= d < self.base
+            )
+            raise ValueError(f"digit {bad} out of range for base {self.base}")
         if not 0 <= self.origin_col < width:
             raise ValueError("origin column outside the grid")
 
@@ -221,29 +236,85 @@ def render_pnm(grid: DigitGrid) -> bytes:
 
     Sentinel cells emit 0 in P1 and maxval in P2: background either way.
     """
-    lines = []
+    maxval = grid.base - 1
     if grid.base == 2:
-        lines.append("P1")
-        lines.append(f"{grid.width} {grid.height}")
-        for row in grid.rows:
-            lines.append(" ".join("1" if d == 1 else "0" for d in row))
+        header, background = f"P1\n{grid.width} {grid.height}\n", 0
     else:
-        maxval = grid.base - 1
-        lines.append("P2")
-        lines.append(f"{grid.width} {grid.height}")
-        lines.append(str(maxval))
+        header = f"P2\n{grid.width} {grid.height}\n{maxval}\n"
+        background = maxval
+    out = bytearray(header.encode("ascii"))
+    if grid.base > 10:
         for row in grid.rows:
-            lines.append(
-                " ".join(str(maxval if d == SENTINEL else d) for d in row)
-            )
-    return ("\n".join(lines) + "\n").encode("ascii")
+            out += " ".join(
+                str(background if d == SENTINEL else d) for d in row
+            ).encode("ascii")
+            out += b"\n"
+        return bytes(out)
+    # One character per pixel: a row packs into signed bytes, where the
+    # sentinel becomes 0xFF, and one translate turns those into digit
+    # characters, written at the even offsets of a reused line with
+    # spaces between them and a newline at the end.
+    pack = struct.Struct(f"{grid.width}b").pack
+    chars = bytearray(_TO_CHARS)
+    chars[SENTINEL & 0xFF] = chars[background]
+    line = bytearray(b" " * (2 * grid.width))
+    line[-1:] = b"\n"
+    for row in grid.rows:
+        line[::2] = pack(*row).translate(chars)
+        out += line
+    return bytes(out)
 
 
 def emit_image(grid: DigitGrid, path: str) -> None:
-    """Write the grid in one shot; partial files are never left behind."""
+    """Write the grid in one shot; partial files are never left behind.
+
+    The bytes go to a new file beside the target, which then replaces
+    the target in one rename; on any error the new file is removed.
+    """
     data = render_pnm(grid)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+# A header token, with whitespace and comments before it and a comment
+# or one whitespace byte after it, where the raster starts if it is the
+# last token.  A comment runs from "#" through its line end, so input
+# splits into these parts only one way and a failed match backtracks in
+# linear time.
+_HEADER_TOKEN = re.compile(
+    rb"(?:\s|#[^\r\n]*[\r\n])*([^\s#]+)(?:\s|#[^\r\n]*[\r\n])"
+)
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+_DECIMAL = b"0123456789"
+# Maps every decimal digit to "0": two digits in a row become b"00".
+_DIGITS_AS_ZERO = bytes.maketrans(_DECIMAL, b"0" * 10)
+
+
+def _header(data: bytes) -> tuple[bytes, list[int], bytes]:
+    """(magic, [width, height] or [width, height, maxval], raster)."""
+    if not data.strip(_WHITESPACE):
+        raise ValueError("empty image data")
+    match = _HEADER_TOKEN.match(data)
+    if match is None:
+        raise ValueError("malformed image header or payload")
+    magic = match.group(1)
+    if magic not in (b"P1", b"P2"):
+        raise ValueError(f"unsupported format {magic.decode('latin-1')!r}")
+    fields = []
+    for _ in range(2 if magic == b"P1" else 3):
+        match = _HEADER_TOKEN.match(data, match.end())
+        if match is None or match.group(1).strip(_DECIMAL):
+            raise ValueError("malformed image header or payload")
+        fields.append(int(match.group(1)))
+    return magic, fields, data[match.end() :]
 
 
 def read_pnm(data: bytes) -> DigitGrid:
@@ -252,19 +323,19 @@ def read_pnm(data: bytes) -> DigitGrid:
     Sentinels and the origin column are display conventions that the
     formats cannot carry, so they do not survive a round trip.
     """
-    tokens = data.decode("ascii").split()
-    if not tokens:
-        raise ValueError("empty image data")
-    magic = tokens.pop(0)
-    if magic not in ("P1", "P2"):
-        raise ValueError(f"unsupported format {magic!r}")
-    try:
-        width = int(tokens.pop(0))
-        height = int(tokens.pop(0))
-        base = 2 if magic == "P1" else int(tokens.pop(0)) + 1
-        values = [int(t) for t in tokens]
-    except (IndexError, ValueError):
-        raise ValueError("malformed image header or payload") from None
+    magic, fields, raster = _header(data)
+    width, height = fields[:2]
+    base = 2 if magic == b"P1" else fields[2] + 1
+    if raster.translate(None, _DECIMAL + _WHITESPACE):
+        raise ValueError("malformed image header or payload")
+    if base <= 10:
+        # One digit per pixel.  P1 pixels need no separators; P2 pixels
+        # do, so two digits in a row are one pixel of several digits.
+        if magic == b"P2" and b"00" in raster.translate(_DIGITS_AS_ZERO):
+            raise ValueError(f"pixel of several digits for maxval {base - 1}")
+        values = raster.translate(_FROM_CHARS, _WHITESPACE)
+    else:
+        values = [int(t) for t in raster.split()]
     if len(values) != width * height:
         raise ValueError(
             f"expected {width * height} pixels, found {len(values)}"

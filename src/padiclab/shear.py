@@ -230,14 +230,8 @@ def shear_rows(
         raise ValueError(f"step must be nonnegative, got {step}")
     out = []
     for n, row in enumerate(rows):
-        offset = step * n
-        width = len(row)
-        out.append(
-            tuple(
-                row[c + offset] if c + offset < width else sentinel
-                for c in range(width)
-            )
-        )
+        kept = tuple(row[step * n :])
+        out.append(kept + (sentinel,) * (len(row) - len(kept)))
     return out
 
 

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padiclab import (
     PadicApprox,
@@ -15,6 +17,7 @@ from padiclab import (
     padic_from_rational,
     valuation_and_norm,
 )
+from padiclab.core import _digits_of
 
 
 def brute_digits(m, base, precision):
@@ -293,3 +296,43 @@ def test_round_trip_through_rationals():
         rhs = Fraction(n) / Fraction(2) ** s.valuation
         assert rhs.denominator == 1
         assert (s.unit.residue() * d - rhs.numerator) % (1 << 24) == 0
+
+
+class TestCodec:
+    """The one digit codec (core._digits_of and its inverse residue())."""
+
+    @given(st.data())
+    def test_round_trip(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        precision = data.draw(st.integers(1, 3000), label="precision")
+        bound = base ** (precision + 2)
+        value = data.draw(st.integers(-bound, bound), label="value")
+        digits = _digits_of(value, base, precision)
+        assert digits == brute_digits(value, base, precision)
+        assert PadicApprox(base, digits).residue() == value % base**precision
+
+    @pytest.mark.parametrize(
+        "base", [2, 3, 10, 64, 65, 255, 256, 257, 4097, 10**12, 2**64 + 13]
+    )
+    def test_piece_widths_and_large_bases(self, base):
+        # Bases above 64 have no piece tables and above 255 no byte digits.
+        rng = random.Random(base)
+        for precision in (1, 2, 7, 8, 9, 64, 65, 500):
+            top = precision * base.bit_length() + 9
+            for value in (0, -1, base**precision, rng.getrandbits(top)):
+                digits = _digits_of(value, base, precision)
+                assert digits == brute_digits(value, base, precision)
+                residue = PadicApprox(base, digits).residue()
+                assert residue == value % base**precision
+
+    def test_residue_beyond_the_string_conversion_limit(self):
+        # int(str, base) refuses more than 4300 digits in a base that is
+        # not a power of two; the codec must not depend on it.
+        value = 3**20000 // 7
+        approx = padic_from_integer(value, 10, 12000)
+        assert approx.residue() == value % 10**12000
+
+    def test_out_of_range_digit_rejected(self):
+        for digits in ((0, 3), (-1, 0), (2,)):
+            with pytest.raises(ValueError):
+                PadicApprox(2, digits)

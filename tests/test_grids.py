@@ -1,8 +1,11 @@
 """Grid construction, image emission, and the display invariants."""
 
 import math
+import os
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padiclab import (
     DigitGrid,
@@ -20,6 +23,7 @@ from padiclab import (
     render_pnm,
     shear_rows,
 )
+from padiclab import grids
 
 # 10.10110111111000010101, most significant bit first
 E_PREFIX = (1, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1, 0, 1, 0, 1)
@@ -214,14 +218,108 @@ class TestEmission:
     def test_emit_writes_bytes(self, tmp_path):
         grid = DigitGrid(2, ((1, 0),))
         path = tmp_path / "tiny.pbm"
+        path.write_bytes(b"old")
         emit_image(grid, str(path))
         assert path.read_bytes() == render_pnm(grid)
+        assert os.listdir(tmp_path) == ["tiny.pbm"]
 
     def test_read_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            read_pnm(b"P5\n1 1\n255\n\x00")
-        with pytest.raises(ValueError):
-            read_pnm(b"P1\n2 2\n1 0 0\n")
+        bad = [
+            b"",
+            b"P5\n1 1\n255\n\x00",
+            b"P1\n2 2\n1 0 0\n",  # short payload
+            b"P1\n3 1\n1 0 1 1\n",  # long payload
+            b"P1\n2 1\n1 2\n",  # digit out of range
+            b"P2\n2 1\n4\n1 5\n",
+            b"P2\n2 1\n4\n14\n",  # P2 needs separators: one pixel 14
+            b"P2\n2 1\n40\n1 41\n",
+            b"P1\n2 1\n1 # no comments in the raster\n0\n",
+            b"P1\n2 1\n1 -1\n",
+            b"P1\n-2 1\n1 0\n",
+            b"P1 2",
+            # Unterminated comments; a header pattern that can split a
+            # run of "#" into comments many ways would take 2**40 steps.
+            b"P1 " + b"#" * 40,
+        ]
+        for data in bad:
+            with pytest.raises(ValueError):
+                read_pnm(data)
+
+    def test_emit_leaves_nothing_when_the_write_fails(self, tmp_path, monkeypatch):
+        grid = grid_powers(3, 2, 16, 64)
+
+        class FailingFile:
+            # Writes half of the bytes, then fails like a full disk.
+            def __init__(self, fd, mode):
+                self.fd = fd
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                os.close(self.fd)
+
+            def write(self, data):
+                os.write(self.fd, data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(grids, "open", FailingFile, raising=False)
+        with pytest.raises(OSError):
+            emit_image(grid, str(tmp_path / "grid.pbm"))
+        assert os.listdir(tmp_path) == []
+
+
+def reference_render(grid):
+    """Oracle: the text layout built one pixel at a time."""
+    maxval = grid.base - 1
+    background = 0 if grid.base == 2 else maxval
+    lines = ["P1" if grid.base == 2 else "P2", f"{grid.width} {grid.height}"]
+    if grid.base > 2:
+        lines.append(str(maxval))
+    for row in grid.rows:
+        lines.append(" ".join(str(background if d == SENTINEL else d) for d in row))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@st.composite
+def digit_grids(draw):
+    base = draw(st.integers(2, 16))
+    width = draw(st.integers(1, 40))
+    cell = st.integers(-1, base - 1)
+    row = st.lists(cell, min_size=width, max_size=width).map(tuple)
+    return DigitGrid(base, tuple(draw(st.lists(row, min_size=1, max_size=12))))
+
+
+class TestPnmFormat:
+    @given(digit_grids())
+    def test_render_matches_reference_and_reads_back(self, grid):
+        data = render_pnm(grid)
+        assert data == reference_render(grid)
+        background = 0 if grid.base == 2 else grid.base - 1
+        again = read_pnm(data)
+        assert again.base == grid.base
+        assert again.rows == tuple(
+            tuple(background if d == SENTINEL else d for d in row)
+            for row in grid.rows
+        )
+
+    def test_header_comments(self):
+        assert read_pnm(b"P1\n# c\n2 1\n1 0\n").rows == ((1, 0),)
+        data = b"P2 # magic\n#\n 3 # w\n1\n4# maxval\n0 4 2\n"
+        grid = read_pnm(data)
+        assert grid.base == 5 and grid.rows == ((0, 4, 2),)
+
+    def test_p1_pixels_need_no_separators(self):
+        assert read_pnm(b"P1\n2 1\n10\n").rows == ((1, 0),)
+        assert read_pnm(b"P1 3 2 101\n\t010").rows == ((1, 0, 1), (0, 1, 0))
+
+
+class TestDigitGrid:
+    def test_names_the_first_bad_digit(self):
+        with pytest.raises(ValueError, match="digit 5 out of range for base 2"):
+            DigitGrid(2, ((0, 5, -3),))
+        with pytest.raises(ValueError, match="digit -2 "):
+            DigitGrid(3, ((0, 1), (-2, 7)))
 
 
 class TestFigurePresets:
