@@ -55,7 +55,6 @@ from .shear import (
     extract_coefficients,
     limit_detect,
     shear_rows,
-    subtract_limit_rows,
 )
 
 __version__ = "0.1.0"
@@ -100,7 +99,6 @@ __all__ = [
     "render_pnm",
     "sequence_term",
     "shear_rows",
-    "subtract_limit_rows",
     "teichmuller",
     "valuation_and_norm",
 ]

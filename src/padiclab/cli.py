@@ -7,18 +7,20 @@ Exit codes: 0 success/converged, 1 verification failure, 2 bad
 arguments or precondition violations, 3 not converged, 4 inconclusive.
 The environment variable PADICLAB_BUDGET overrides the default sequence
 index caps.  Output on stdout is byte-deterministic for fixed flags;
-timings go to stderr.
+timings go to stderr.  Sizes above the MAX_* bounds exit 2 before any
+work starts.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from .core import padic_from_rational
-from .grids import emit_image, figure_grid
+from .grids import FIGURE_DEFAULTS, emit_image, figure_grid
 from .sequences import parse_sequence_spec
 from .shear import limit_detect
 from .verify import run_checks
@@ -35,7 +37,21 @@ _LIMIT_EXITS = {
     "inconclusive": _EXIT_INCONCLUSIVE,
 }
 
+# Upper bounds on sizes: digits precision; limit precision (from --prec
+# or the spec text) and budget; cells, rows x columns, of one figure
+# grid after its presets are merged.  Each keeps one call to seconds.
+MAX_DIGITS_PRECISION = 10**6
+MAX_LIMIT_PRECISION = 4096
+MAX_LIMIT_BUDGET = 1024
+MAX_FIGURE_CELLS = 2**23
 
+
+def _check_bound(what: str, value: int | None, bound: int) -> None:
+    if value is not None and value > bound:
+        raise ValueError(f"{what} {value} exceeds the limit {bound}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padiclab",
@@ -82,6 +98,7 @@ def _cmd_digits(args) -> int:
         raise ValueError("give either --int or both --num and --den")
     if given_frac and (args.num is None or args.den is None):
         raise ValueError("--num and --den must be given together")
+    _check_bound("precision", args.prec, MAX_DIGITS_PRECISION)
     if given_int:
         scalar = padic_from_rational(args.integer, 1, args.base, args.prec)
     else:
@@ -113,6 +130,11 @@ def _cmd_figure(args) -> int:
         for name in _FIGURE_OPTION_NAMES
         if getattr(args, name) is not None
     }
+    # An option the figure does not take is rejected by figure_grid.
+    get = {**FIGURE_DEFAULTS[args.id], **overrides}.get
+    height = get("rows", get("rows_before", 0) + get("rows_after", 0))
+    width = get("width", get("int_digits", 0) + get("frac_digits", 0))
+    _check_bound("grid cells", height * width, MAX_FIGURE_CELLS)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory {out_dir!r} is not writable")
@@ -152,6 +174,9 @@ def _cmd_figure(args) -> int:
 
 def _cmd_limit(args) -> int:
     spec = parse_sequence_spec(args.spec)
+    precision = args.prec if args.prec is not None else spec.precision
+    _check_bound("precision", precision, MAX_LIMIT_PRECISION)
+    _check_bound("budget", args.budget, MAX_LIMIT_BUDGET)
     report = limit_detect(spec, args.prec, budget=args.budget)
     if args.json:
         print(json.dumps(report.to_record(), sort_keys=True))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .analysis import padic_log
 from .core import _FROM_CHARS, _TO_CHARS, PadicApprox, _digits_of
-from .shear import SENTINEL, shear_rows
+from .shear import SENTINEL, _subtract_shear, _tower_rows, shear_rows
 
 __all__ = [
     "DigitGrid",
@@ -127,15 +127,6 @@ def grid_history(
     return DigitGrid(base, tuple(out))
 
 
-def _tower_residues(k: int, p: int, rows: int, modulus: int) -> list[int]:
-    out = []
-    r = k % modulus
-    for _ in range(rows):
-        out.append(r)
-        r = pow(r, p, modulus)
-    return out
-
-
 def grid_power_tower(
     k: int,
     p: int,
@@ -147,18 +138,20 @@ def grid_power_tower(
     """Row n holds k**(p**n) mod p**width, optionally post-processed.
 
     transform "shear" blanks column 0 and shifts row n left by n.
-    transform "subtract-shear" folds (row - c)/p**n over the given
-    coefficient list; each coefficient j must carry at least
+    transform "subtract-shear" runs the coefficient cascade's shear
+    step, row n -> (row n - c)/p**n, once per coefficient c of the
+    given list, in order, and raises ArithmeticError if a division is
+    not exact.  Each coefficient j must carry at least
     width + (rows-1)*(len(coeffs)-j) digits so that the displayed
     window stays exact after all the shears.
     """
     if rows < 1 or width < 1:
         raise ValueError("rows and width must be at least 1")
     if transform == "none":
-        residues = _tower_residues(k, p, rows, p**width)
+        residues = _tower_rows(k, p, rows, p**width)
         return DigitGrid(p, tuple(_digits_of(r, p, width) for r in residues))
     if transform == "shear":
-        residues = _tower_residues(k, p, rows, p**width)
+        residues = _tower_rows(k, p, rows, p**width)
         blanked = [(0,) + _digits_of(r, p, width)[1:] for r in residues]
         return DigitGrid(p, tuple(shear_rows(blanked, 1)))
     if transform != "subtract-shear":
@@ -175,24 +168,11 @@ def grid_power_tower(
                 f"coefficient {j} carries {c.precision} digits; "
                 f"{needed} are needed to keep the display exact"
             )
-    residues = _tower_residues(k, p, rows, p ** (width + stages * (rows - 1)))
-    c_residues = [c.residue() for c in coeffs]
-    out = []
-    for n, value in enumerate(residues):
-        work = p ** (width + stages * n)
-        v = value % work
-        step = p**n
-        for c in c_residues:
-            v = (v - c) % work
-            if v % step:
-                raise ArithmeticError(
-                    f"row {n} is not divisible by p**{n} after subtraction; "
-                    "the coefficients do not match this tower"
-                )
-            v //= step
-            work //= step
-        out.append(_digits_of(v, p, width))
-    return DigitGrid(p, tuple(out))
+    residues = _tower_rows(k, p, rows, p ** (width + stages * (rows - 1)))
+    precs = [width + stages * n for n in range(rows)]
+    for c in coeffs:
+        residues, precs = _subtract_shear(residues, precs, c.residue(), p)
+    return DigitGrid(p, tuple(_digits_of(r, p, width) for r in residues))
 
 
 def real_binary_expansion(
@@ -206,18 +186,13 @@ def real_binary_expansion(
         raise ValueError(f"numerator must be nonnegative, got {num}")
     if int_digits < 0 or frac_digits < 0 or int_digits + frac_digits < 1:
         raise ValueError("need at least one digit position")
-    whole, rest = divmod(num, den)
+    whole = num // den
     if whole >= 1 << int_digits:
         raise ValueError(
             f"integer part {whole} does not fit in {int_digits} digits"
         )
-    head = [(whole >> i) & 1 for i in range(int_digits - 1, -1, -1)]
-    tail = []
-    for _ in range(frac_digits):
-        rest *= 2
-        bit, rest = divmod(rest, den)
-        tail.append(bit)
-    return tuple(head + tail)
+    value = (num << frac_digits) // den
+    return _digits_of(value, 2, int_digits + frac_digits)[::-1]
 
 
 def grid_real_rows(rows: int, int_digits: int, frac_digits: int) -> DigitGrid:

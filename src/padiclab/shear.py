@@ -11,7 +11,9 @@ The cascade repeatedly subtracts a detected limit (truncated to its
 certified digits, like forming an integer from the first a digits) and
 divides row n by p**n.  The subtraction error of row n sits at
 valuation (certified depth) - n, so rows past the best-agreement index
-are dominated by it and are dropped from the next stage.
+are dominated by it and are dropped from the next stage.  Figure 5
+(``grids.grid_power_tower(..., "subtract-shear")``) draws the same
+rows through the same shear step, once per given coefficient.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "extract_coefficients",
     "limit_detect",
     "shear_rows",
-    "subtract_limit_rows",
 ]
 
 # Consecutive fully-congruent terms required before a limit is believed.
@@ -164,6 +165,38 @@ def _stage_window(
     return best_n, best_d, depths
 
 
+def _tower_rows(k: int, p: int, count: int, modulus: int) -> list[int]:
+    """k**(p**n) mod modulus for n < count, each row the p-th power of
+    the one before."""
+    rows = []
+    r = k % modulus
+    for _ in range(count):
+        rows.append(r)
+        r = pow(r, p, modulus)
+    return rows
+
+
+def _subtract_shear(
+    rows: list[int], precs: list[int], c: int, p: int
+) -> tuple[list[int], list[int]]:
+    """One shear step: row n, known mod p**precs[n], becomes
+    (row - c) / p**n, known to precs[n] - n digits.
+
+    Raises ArithmeticError when a division is not exact, which means
+    that c does not match the rows' leading digits.
+    """
+    quotients = []
+    for n, (row, prec) in enumerate(zip(rows, precs)):
+        q, r = divmod((row - c) % p**prec, p**n)
+        if r:
+            raise ArithmeticError(
+                f"shear is not exact at row {n}: the subtracted digits "
+                "do not match these rows"
+            )
+        quotients.append(q)
+    return quotients, [prec - n for n, prec in enumerate(precs)]
+
+
 def extract_coefficients(
     k: int, p: int, count: int, a: int, budget: int
 ) -> list[PadicApprox]:
@@ -187,12 +220,7 @@ def extract_coefficients(
     if budget < WINDOW_TERMS + 1:
         raise ValueError(f"budget {budget} is too small to detect anything")
     working = a + count * budget
-    modulus = p**working
-    rows: list[int] = []
-    r = k % modulus
-    for _ in range(budget):
-        rows.append(r)
-        r = pow(r, p, modulus)
+    rows = _tower_rows(k, p, budget, p**working)
     precs = [working] * budget
     coeffs: list[PadicApprox] = []
     for stage in range(count):
@@ -202,19 +230,9 @@ def extract_coefficients(
         if stage == count - 1:
             break
         truncated = rows[center] % p**certified
-        next_rows: list[int] = []
-        next_precs: list[int] = []
-        for n in range(center):
-            diff = (rows[n] - truncated) % p**precs[n]
-            step = p**n
-            if diff % step:
-                raise ArithmeticError(
-                    f"stage {stage} shear is not exact at row {n}; "
-                    "the detected limit digits are wrong"
-                )
-            next_rows.append(diff // step)
-            next_precs.append(precs[n] - n)
-        rows, precs = next_rows, next_precs
+        rows, precs = _subtract_shear(
+            rows[:center], precs[:center], truncated, p
+        )
     return coeffs
 
 
@@ -233,10 +251,3 @@ def shear_rows(
         kept = tuple(row[step * n :])
         out.append(kept + (sentinel,) * (len(row) - len(kept)))
     return out
-
-
-def subtract_limit_rows(
-    rows: list[PadicApprox], c: PadicApprox
-) -> list[PadicApprox]:
-    """Subtract a detected limit from every row (precision-aware)."""
-    return [row - c for row in rows]

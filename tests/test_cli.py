@@ -1,9 +1,11 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
+from padiclab import cli
 from padiclab.cli import main
 
 
@@ -193,3 +195,78 @@ class TestVerify:
         record = json.loads(out)
         assert record["passed"] is True
         assert record["checks"][0]["name"] == "norms-and-valuations"
+
+
+class TestRepeatedCalls:
+    def test_calls_in_one_process(self, capsys, tmp_path):
+        out_path = str(tmp_path / "g.pbm")
+        argv = (
+            "figure", "--id", "1", "--rows", "3", "--width", "5",
+            "--out", out_path,
+        )
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0 and json.loads(out)["files"][0]["path"] == out_path
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == out_path + "\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "--id", "9", "--out", out_path])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == out_path + "\n"
+        assert cli._build_parser() is cli._build_parser()
+
+
+class TestBounds:
+    def test_digits_precision(self, capsys):
+        prec = str(cli.MAX_DIGITS_PRECISION + 1)
+        code, out, err = run(
+            capsys, "digits", "--base", "2", "--prec", prec, "--int", "3"
+        )
+        assert code == 2 and out == "" and "error:" in err
+
+    def test_huge_digits_precision_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, _, err = run(
+            capsys, "digits", "--base", "2", "--prec", "100000000", "--int", "3"
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize(
+        "spec, prec",
+        [
+            ("power:3,2@2^n", ["--prec", str(cli.MAX_LIMIT_PRECISION + 1)]),
+            (f"power:3,2@2^n/2^{cli.MAX_LIMIT_PRECISION + 1}", []),
+        ],
+    )
+    def test_limit_precision(self, capsys, spec, prec):
+        code, out, err = run(capsys, "limit", spec, *prec)
+        assert code == 2 and out == "" and "error:" in err
+
+    def test_limit_budget(self, capsys):
+        budget = str(cli.MAX_LIMIT_BUDGET + 1)
+        code, out, err = run(
+            capsys, "limit", "power:3,2@2^n", "--prec", "16", "--budget", budget
+        )
+        assert code == 2 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ["--id", "1", "--rows", "1", "--width", "{over}"],
+            ["--id", "2", "--rows-before", "{cap}", "--rows-after", "1",
+             "--width", "1"],
+            ["--id", "6", "--rows", "1", "--int-digits", "1",
+             "--frac-digits", "{cap}"],
+            ["--id", "7", "--rows", "1", "--width", "{over}"],
+        ],
+        ids=["powers", "history", "real", "towers"],
+    )
+    def test_figure_cells(self, capsys, tmp_path, sizes):
+        cap = cli.MAX_FIGURE_CELLS
+        argv = [a.format(cap=cap, over=cap + 1) for a in sizes]
+        out_path = tmp_path / "g.pbm"
+        code, out, err = run(capsys, "figure", *argv, "--out", str(out_path))
+        assert code == 2 and out == "" and "error:" in err
+        assert list(tmp_path.iterdir()) == []

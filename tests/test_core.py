@@ -2,6 +2,7 @@
 and the metric invariants."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -296,6 +297,61 @@ def test_round_trip_through_rationals():
         rhs = Fraction(n) / Fraction(2) ** s.valuation
         assert rhs.denominator == 1
         assert (s.unit.residue() * d - rhs.numerator) % (1 << 24) == 0
+
+
+def draw_residue(data, base, label):
+    """(value, PadicApprox) for a drawn precision in 1..2000."""
+    precision = data.draw(st.integers(1, 2000), label=f"{label} precision")
+    value = data.draw(st.integers(0, base**precision - 1), label=label)
+    return value, PadicApprox.from_residue(value, base, precision)
+
+
+class TestRingProperties:
+    """Ring operations against Python integers, over bases 2-36."""
+
+    @given(st.data())
+    def test_ops_match_integers(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        a, x = draw_residue(data, base, "x")
+        b, y = draw_residue(data, base, "y")
+        precision = min(x.precision, y.precision)
+        for op in (operator.add, operator.sub, operator.mul):
+            got = op(x, y)
+            assert got.precision == precision
+            assert got.digits == brute_digits(op(a, b), base, precision)
+
+    @given(st.data())
+    def test_inverse_of_a_unit(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        units = [d for d in range(1, base) if math.gcd(d, base) == 1]
+        low = data.draw(st.sampled_from(units), label="units digit")
+        _, x = draw_residue(data, base, "x")
+        x = PadicApprox(base, (low,) + x.digits[1:])
+        product = x.invert() * x
+        assert product.precision == x.precision
+        assert product.residue() == 1
+
+    @given(st.data())
+    def test_shift_round_trip(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        _, x = draw_residue(data, base, "x")
+        t = data.draw(st.integers(0, x.precision - 1), label="t")
+        back = x.shift(t).shift(-t)
+        assert back.digits == x.truncate(x.precision - t).digits
+
+    @given(st.data())
+    def test_truncate_keeps_a_prefix(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        _, x = draw_residue(data, base, "x")
+        t = data.draw(st.integers(1, x.precision), label="t")
+        assert x.truncate(t).digits == x.digits[:t]
+
+    def test_equality_is_not_transitive(self):
+        long_a = PadicApprox(3, (2, 1, 0))
+        short = PadicApprox(3, (2, 1))
+        long_b = PadicApprox(3, (2, 1, 2))
+        assert long_a == short and short == long_b
+        assert long_a != long_b
 
 
 class TestCodec:

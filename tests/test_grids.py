@@ -139,6 +139,18 @@ class TestGridPowerTower:
             expected = tuple((v >> i) & 1 for i in range(width))
             assert grid.rows[n] == expected
 
+    def test_subtract_shear_rejects_a_wrong_coefficient(self):
+        rows, width = 12, 32
+        c0_prec = width + 2 * (rows - 1)
+        c1_prec = width + (rows - 1)
+        from padiclab import padic_from_integer
+
+        c0 = padic_from_integer(1, 2, c0_prec)
+        c1 = padic_log(3, 2, c1_prec + 6).to_approx(c1_prec)
+        wrong = c1 + padic_from_integer(1, 2, c1_prec)
+        with pytest.raises(ArithmeticError):
+            grid_power_tower(3, 2, rows, width, "subtract-shear", [c0, wrong])
+
     def test_underprecise_coefficients_rejected(self):
         from padiclab import padic_from_integer
 
@@ -179,6 +191,30 @@ class TestRealBinary:
         depths = [agreement(n) for n in (16, 64, 256, 1024, 4096)]
         assert depths == sorted(depths)
         assert depths[-1] >= 12
+
+    @given(
+        st.integers(0, 6),
+        st.integers(0, 120),
+        st.integers(1, 10**30),
+        st.data(),
+    )
+    def test_matches_long_division(self, int_digits, frac_digits, den, data):
+        if int_digits + frac_digits < 1:
+            frac_digits = 1
+        num = data.draw(st.integers(0, (den << int_digits) - 1))
+
+        # oracle: the integer part bit by bit, then schoolbook long
+        # division for the fraction
+        whole, rest = divmod(num, den)
+        head = [(whole >> i) & 1 for i in range(int_digits - 1, -1, -1)]
+        tail = []
+        for _ in range(frac_digits):
+            rest *= 2
+            bit, rest = divmod(rest, den)
+            tail.append(bit)
+        assert real_binary_expansion(num, den, int_digits, frac_digits) == tuple(
+            head + tail
+        )
 
     def test_grid_real_rows(self):
         grid = grid_real_rows(2, 2, 4)

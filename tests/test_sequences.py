@@ -5,6 +5,8 @@ import math
 from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padiclab import (
     BudgetExceeded,
@@ -235,6 +237,15 @@ class TestLegendreValuation:
             while f % 5 == 0:
                 v, f = v + 1, f // 5
             assert legendre_valuation(m, 5) == v
+
+    @given(st.integers(0, 10**12), st.sampled_from([2, 3, 5, 7]))
+    def test_digit_sum_formula(self, m, p):
+        # Legendre: v_p(m!) = (m - digitsum_p(m)) / (p - 1)
+        digit_sum, q = 0, m
+        while q:
+            q, r = divmod(q, p)
+            digit_sum += r
+        assert legendre_valuation(m, p) * (p - 1) == m - digit_sum
 
 
 class TestNormalizedFactorial:

@@ -12,9 +12,9 @@ from padiclab import (
     parse_sequence_spec,
     power_tower_term,
     shear_rows,
-    subtract_limit_rows,
     teichmuller,
 )
+from padiclab.shear import _subtract_shear, _tower_rows
 
 
 class TestLimitDetect:
@@ -155,22 +155,26 @@ class TestShearRows:
             shear_rows([(1,)], -1)
 
 
-class TestSubtractLimitRows:
+class TestSubtractShear:
     def test_subtracting_one_zeroes_low_digits(self):
-        rows = [power_tower_term(3, 2, n, 16) for n in range(1, 8)]
-        one = padic_from_integer(1, 2, 16)
-        for n, row in zip(range(1, 8), subtract_limit_rows(rows, one)):
-            assert all(d == 0 for d in row.digits[: n + 1])
+        # v_2(3**(2**n) - 1) = n + 2 for n >= 1, so after dividing by
+        # 2**n two more low digits are zero
+        rows = _tower_rows(3, 2, 8, 1 << 16)
+        quotients, precs = _subtract_shear(rows, [16] * 8, 1, 2)
+        assert precs == [16 - n for n in range(8)]
+        for n in range(1, 8):
+            assert quotients[n] % 4 == 0
+            assert quotients[n] == ((pow(3, 1 << n) - 1) >> n) % (1 << precs[n])
 
-    def test_subtracting_zero_is_identity(self):
-        rows = [padic_from_integer(v, 2, 8) for v in (3, 9, 81)]
-        zero = padic_from_integer(0, 2, 8)
-        assert [r.digits for r in subtract_limit_rows(rows, zero)] == [
-            r.digits for r in rows
-        ]
+    def test_subtracting_zero_only_divides(self):
+        # with nothing subtracted the step only divides row n by 2**n
+        rows = [3, 9 << 1, 81 << 2]
+        quotients, precs = _subtract_shear(rows, [16, 16, 16], 0, 2)
+        assert quotients == [3, 9, 81] and precs == [16, 15, 14]
 
-    def test_base_mismatch(self):
-        with pytest.raises(ValueError):
-            subtract_limit_rows(
-                [padic_from_integer(1, 2, 4)], padic_from_integer(1, 3, 4)
-            )
+    def test_wrong_limit_is_not_exact(self):
+        # 3**(2**n) = 1 mod 8 for n >= 1; subtracting 3 leaves 2 mod 8,
+        # which row 2 cannot divide by 4
+        rows = _tower_rows(3, 2, 4, 1 << 16)
+        with pytest.raises(ArithmeticError, match="row 2"):
+            _subtract_shear(rows, [16] * 4, 3, 2)
