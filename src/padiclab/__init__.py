@@ -35,7 +35,6 @@ from .grids import (
     render_pnm,
 )
 from .sequences import (
-    BudgetExceeded,
     SequenceSpec,
     bell_mod,
     catalan_exact,
@@ -60,7 +59,6 @@ from .shear import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded",
     "DigitGrid",
     "ExtractionError",
     "LimitReport",

@@ -6,9 +6,11 @@ Subcommands: ``digits`` (one-shot expansions), ``figure`` (grid images),
 Exit codes: 0 success/converged, 1 verification failure, 2 bad
 arguments or precondition violations, 3 not converged, 4 inconclusive.
 The environment variable PADICLAB_BUDGET overrides the default sequence
-index caps.  Output on stdout is byte-deterministic for fixed flags;
-timings go to stderr.  Sizes above the MAX_* bounds exit 2 before any
-work starts.
+index caps.  ``limit`` reads it once per run and reports "inconclusive"
+(exit 4) when the schedule passes the cap; a value that is not an
+integer exits 2 for a capped family and is ignored for an uncapped one.
+Output on stdout is byte-deterministic for fixed flags; timings go to
+stderr.  Sizes above the MAX_* bounds exit 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -37,13 +40,18 @@ _LIMIT_EXITS = {
     "inconclusive": _EXIT_INCONCLUSIVE,
 }
 
-# Upper bounds on sizes: digits precision; limit precision (from --prec
-# or the spec text) and budget; cells, rows x columns, of one figure
-# grid after its presets are merged.  Each keeps one call to seconds.
+# Upper bounds on sizes: digits precision (in base 10 digits, so a
+# larger base gets as many digits as fit in a residue of the same
+# size); limit precision (from --prec or the spec text) and budget;
+# cells, rows x columns, of one figure grid after its presets are
+# merged; rows of figures 5 and 6, whose cost grows with rows**2 (row n
+# is known to width + 2n digits, or divides numbers of n*log2(n) bits),
+# which the cell bound does not limit.  Each keeps one call to seconds.
 MAX_DIGITS_PRECISION = 10**6
 MAX_LIMIT_PRECISION = 4096
 MAX_LIMIT_BUDGET = 1024
 MAX_FIGURE_CELLS = 2**23
+MAX_QUADRATIC_FIGURE_ROWS = 4096
 
 
 def _check_bound(what: str, value: int | None, bound: int) -> None:
@@ -99,6 +107,16 @@ def _cmd_digits(args) -> int:
     if given_frac and (args.num is None or args.den is None):
         raise ValueError("--num and --den must be given together")
     _check_bound("precision", args.prec, MAX_DIGITS_PRECISION)
+    if args.base > 10:
+        if not args.json:
+            raise ValueError(
+                f"base {args.base} needs --json (digit strings need base <= 10)"
+            )
+        _check_bound(
+            f"precision in base {args.base}",
+            args.prec,
+            int(MAX_DIGITS_PRECISION * math.log(10) / math.log(args.base)),
+        )
     if given_int:
         scalar = padic_from_rational(args.integer, 1, args.base, args.prec)
     else:
@@ -135,6 +153,8 @@ def _cmd_figure(args) -> int:
     height = get("rows", get("rows_before", 0) + get("rows_after", 0))
     width = get("width", get("int_digits", 0) + get("frac_digits", 0))
     _check_bound("grid cells", height * width, MAX_FIGURE_CELLS)
+    if args.id in (5, 6):
+        _check_bound("rows", height, MAX_QUADRATIC_FIGURE_ROWS)
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir) or not os.access(out_dir, os.W_OK):
         raise ValueError(f"output directory {out_dir!r} is not writable")

@@ -8,9 +8,11 @@ small text grammar::
 
 e.g. ``power:3,2@2^n/2^600``, ``catalan@2^n/2^8``, ``bell@2*4^n``.
 
-Families whose cost grows with the index carry configurable index caps;
-exceeding a cap raises BudgetExceeded rather than silently truncating.
-The environment variable PADICLAB_BUDGET overrides every cap at once.
+Generators are plain functions of their index.  Families whose cost
+grows with the index carry caps (``index_cap``), which the environment
+variable PADICLAB_BUDGET overrides all at once; ``shear.limit_detect``
+enforces them before it generates a term, so a capped run ends
+"inconclusive" rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .analysis import euler_phi_prime_power, is_prime
 from .core import PadicApprox
 
 __all__ = [
-    "BudgetExceeded",
     "DEFAULT_INDEX_CAPS",
     "SequenceSpec",
     "bell_mod",
@@ -41,10 +42,6 @@ __all__ = [
     "power_tower_term",
     "sequence_term",
 ]
-
-
-class BudgetExceeded(Exception):
-    """A sequence index went past the configured cap for its family."""
 
 
 # Caps on the sequence index m, not on the schedule step n.  None means
@@ -64,10 +61,13 @@ _FAMILY_ALIASES = {"power-tower": "power", "normalized-factorial": "factorial"}
 _ENV_BUDGET = "PADICLAB_BUDGET"
 
 
-def index_cap(family: str, override: int | None = None) -> int | None:
-    """Effective index cap for a family (override > env > default)."""
-    if override is not None:
-        return override
+def index_cap(family: str) -> int | None:
+    """Index cap of a family: PADICLAB_BUDGET if set, else the default.
+
+    None for an uncapped family, without reading the environment.
+    """
+    if DEFAULT_INDEX_CAPS[family] is None:
+        return None
     env = os.environ.get(_ENV_BUDGET)
     if env is not None:
         try:
@@ -77,14 +77,6 @@ def index_cap(family: str, override: int | None = None) -> int | None:
                 f"{_ENV_BUDGET} must be an integer, got {env!r}"
             ) from None
     return DEFAULT_INDEX_CAPS[family]
-
-
-def _check_budget(family: str, m: int, override: int | None = None) -> None:
-    cap = index_cap(family, override)
-    if cap is not None and m > cap:
-        raise BudgetExceeded(
-            f"{family} index {m} exceeds the configured budget {cap}"
-        )
 
 
 def power_term(k: int, p: int, m: int, a: int) -> int:
@@ -125,7 +117,7 @@ def fibonacci_mod(m: int, modulus: int) -> int:
     return a
 
 
-def catalan_exact(m: int, budget: int | None = None) -> int:
+def catalan_exact(m: int) -> int:
     """The m-th Catalan number as an exact integer.
 
     The recurrence multiplies by 2(2m-1) and divides by (m+1); the
@@ -133,7 +125,6 @@ def catalan_exact(m: int, budget: int | None = None) -> int:
     """
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    _check_budget("catalan", m, budget)
     c = 1
     for i in range(1, m + 1):
         q, r = divmod(c * 2 * (2 * i - 1), i + 1)
@@ -143,11 +134,10 @@ def catalan_exact(m: int, budget: int | None = None) -> int:
     return c
 
 
-def motzkin_exact(m: int, budget: int | None = None) -> int:
+def motzkin_exact(m: int) -> int:
     """The m-th Motzkin number as an exact integer."""
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    _check_budget("motzkin", m, budget)
     if m == 0:
         return 1
     prev, cur = 1, 1  # M_0, M_1
@@ -185,7 +175,7 @@ def _bell_mod_vectorized(m: int, modulus: int) -> int:
     return int(row[0])
 
 
-def bell_mod(m: int, modulus: int, budget: int | None = None) -> int:
+def bell_mod(m: int, modulus: int) -> int:
     """B_m mod modulus via the Bell triangle, one row retained.
 
     Additions only, so any modulus is sound; small moduli take a
@@ -195,7 +185,6 @@ def bell_mod(m: int, modulus: int, budget: int | None = None) -> int:
         raise ValueError(f"index must be nonnegative, got {m}")
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
-    _check_budget("bell", m, budget)
     if m >= 32 and modulus * (m + 2) < 1 << 62:
         return _bell_mod_vectorized(m, modulus)
     return _bell_mod_rows(m, modulus)
@@ -215,7 +204,7 @@ def legendre_valuation(m: int, p: int) -> int:
     return total
 
 
-def odd_factorial_mod(m: int, a: int, budget: int | None = None) -> int:
+def odd_factorial_mod(m: int, a: int) -> int:
     """The odd part of m! reduced mod 2**a, without forming m!.
 
     oddpart(m!) = oddpart((m//2)!) * (product of odd j <= m), so the
@@ -225,7 +214,6 @@ def odd_factorial_mod(m: int, a: int, budget: int | None = None) -> int:
         raise ValueError(f"index must be nonnegative, got {m}")
     if a < 1:
         raise ValueError(f"precision must be at least 1, got {a}")
-    _check_budget("factorial", m, budget)
     modulus = 1 << a
     acc = 1
     mm = m
@@ -236,15 +224,11 @@ def odd_factorial_mod(m: int, a: int, budget: int | None = None) -> int:
     return acc
 
 
-def normalized_factorial_term(
-    n: int, a: int, budget: int | None = None
-) -> PadicApprox:
+def normalized_factorial_term(n: int, a: int) -> PadicApprox:
     """(2**n)! divided by its full power of 2, reduced mod 2**a."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return PadicApprox.from_residue(
-        odd_factorial_mod(1 << n, a, budget), 2, a
-    )
+    return PadicApprox.from_residue(odd_factorial_mod(1 << n, a), 2, a)
 
 
 @dataclass(frozen=True)
@@ -342,10 +326,7 @@ def parse_sequence_spec(text: str) -> SequenceSpec:
 
 
 def sequence_term(
-    spec: SequenceSpec,
-    n: int,
-    precision: int | None = None,
-    budget: int | None = None,
+    spec: SequenceSpec, n: int, precision: int | None = None
 ) -> PadicApprox:
     """Evaluate the family at schedule step n, reduced mod base**precision."""
     a = precision if precision is not None else spec.precision
@@ -358,11 +339,11 @@ def sequence_term(
     elif spec.family == "fibonacci":
         value = fibonacci_mod(m, b**a)
     elif spec.family == "catalan":
-        value = catalan_exact(m, budget)
+        value = catalan_exact(m)
     elif spec.family == "motzkin":
-        value = motzkin_exact(m, budget)
+        value = motzkin_exact(m)
     elif spec.family == "bell":
-        value = bell_mod(m, b**a, budget)
+        value = bell_mod(m, b**a)
     else:
-        value = odd_factorial_mod(m, a, budget)
+        value = odd_factorial_mod(m, a)
     return PadicApprox.from_residue(value, b, a)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .analysis import is_prime
 from .core import PadicApprox, base_multiplicity
-from .sequences import BudgetExceeded, SequenceSpec, sequence_term
+from .sequences import SequenceSpec, index_cap, sequence_term
 
 __all__ = [
     "ExtractionError",
@@ -51,10 +51,12 @@ class LimitReport:
     """Outcome of limit detection.
 
     outcome is one of "converged", "not-converged", "inconclusive"
-    (inconclusive = the generator ran out of budget, which must not be
-    read as divergence).  agreement_depth[n] counts the low digits on
-    which terms n and n+1 agree, capped at the working precision.
-    stable_from is the first index of the fully-congruent tail.
+    (inconclusive = the schedule reached an index past the family's
+    index cap before the term budget ran out, which must not be read as
+    divergence; terms_used then counts the terms up to the cap).
+    agreement_depth[n] counts the low digits on which terms n and n+1
+    agree, capped at the working precision.  stable_from is the first
+    index of the fully-congruent tail.
     """
 
     outcome: str
@@ -87,18 +89,16 @@ def _agreement(x: int, y: int, p: int, cap: int) -> int:
 
 
 def limit_detect(
-    spec: SequenceSpec,
-    a: int | None = None,
-    *,
-    budget: int,
-    generator_budget: int | None = None,
+    spec: SequenceSpec, a: int | None = None, *, budget: int
 ) -> LimitReport:
     """Inspect ``budget`` terms of spec mod base**a for a stable limit.
 
     Converges iff the last WINDOW_TERMS or more terms are all congruent
     at full precision; the depth profile of a genuinely convergent
-    sequence rises into that plateau and never leaves it.  A generator
-    budget exhaustion yields the distinct "inconclusive" outcome.
+    sequence rises into that plateau and never leaves it.  Only terms
+    whose index is within the family's cap (``sequences.index_cap``,
+    read once per call) are generated; a schedule index past it ends
+    the run with the distinct "inconclusive" outcome.
     """
     precision = a if a is not None else spec.precision
     if precision is None:
@@ -108,20 +108,18 @@ def limit_detect(
             f"budget must allow at least {WINDOW_TERMS} terms, got {budget}"
         )
     p = spec.reduction_base
-    residues: list[int] = []
-    exhausted = False
-    for n in range(budget):
-        try:
-            residues.append(sequence_term(spec, n, precision, generator_budget).residue())
-        except BudgetExceeded:
-            exhausted = True
-            break
+    cap = index_cap(spec.family)
+    # The schedule strictly increases: the terms within the cap are a prefix.
+    terms = 0
+    while terms < budget and (cap is None or spec.index(terms) <= cap):
+        terms += 1
+    residues = [sequence_term(spec, n, precision).residue() for n in range(terms)]
     depths = tuple(
         _agreement(residues[i + 1], residues[i], p, precision)
         for i in range(len(residues) - 1)
     )
-    if exhausted:
-        return LimitReport("inconclusive", None, depths, len(residues), None)
+    if terms < budget:
+        return LimitReport("inconclusive", None, depths, terms, None)
     # First index of the trailing fully-congruent run of terms.
     start = len(depths)
     while start >= 1 and depths[start - 1] == precision:
@@ -236,12 +234,10 @@ def extract_coefficients(
     return coeffs
 
 
-def shear_rows(
-    rows: list, step: int, sentinel: int = SENTINEL
-) -> list[tuple[int, ...]]:
+def shear_rows(rows: list, step: int) -> list[tuple[int, ...]]:
     """Shift row n left by step*n digit positions.
 
-    Vacated cells on the right are filled with the sentinel; callers
+    Vacated cells on the right are filled with SENTINEL; callers
     have already accounted for the dropped low digits.
     """
     if step < 0:
@@ -249,5 +245,5 @@ def shear_rows(
     out = []
     for n, row in enumerate(rows):
         kept = tuple(row[step * n :])
-        out.append(kept + (sentinel,) * (len(row) - len(kept)))
+        out.append(kept + (SENTINEL,) * (len(row) - len(kept)))
     return out

@@ -120,6 +120,19 @@ class TestLimit:
         )
         assert code == 4 and out.splitlines()[0] == "inconclusive"
 
+    def test_malformed_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICLAB_BUDGET", "lots")
+        code, out, err = run(
+            capsys, "limit", "catalan@2^n", "--prec", "3", "--budget", "8"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: PADICLAB_BUDGET must be an integer, got 'lots'\n"
+        # Uncapped families never read the variable.
+        code, out, _ = run(
+            capsys, "limit", "power:3,2@2^n", "--prec", "8", "--budget", "16"
+        )
+        assert code == 0 and out.splitlines()[0] == "converged"
+
 
 class TestFigure:
     def test_small_powers_grid(self, capsys, tmp_path):
@@ -185,6 +198,13 @@ class TestVerify:
         assert out == "PASS legendre-factorial\n"
         assert "legendre-factorial:" in err  # timing goes to stderr
 
+    def test_small_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("PADICLAB_BUDGET", "100")
+        code, out, _ = run(capsys, "verify", "--only", "legendre")
+        assert code == 0 and out == "PASS legendre-factorial\n"
+        code, out, _ = run(capsys, "verify", "--only", "sequence")
+        assert code == 1 and out.startswith("FAIL sequence-limits: ")
+
     def test_only_no_match(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "zzz")
         assert code == 2 and "error:" in err
@@ -234,6 +254,22 @@ class TestBounds:
         assert code == 2 and "error:" in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--base", "11", "--prec", "200000", "--int", "-1"],
+            ["--base", "11", "--prec", "900000", "--int", "-1"],
+            ["--base", "1000003", "--prec", "1000000", "--int", "-1", "--json"],
+            ["--base", "1000003", "--prec", "166667", "--int", "-1", "--json"],
+        ],
+        ids=["no-json", "no-json-long", "residue", "residue-bound"],
+    )
+    def test_large_base_fails_fast(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, "digits", *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == "" and "error:" in err
+
+    @pytest.mark.parametrize(
         "spec, prec",
         [
             ("power:3,2@2^n", ["--prec", str(cli.MAX_LIMIT_PRECISION + 1)]),
@@ -268,5 +304,22 @@ class TestBounds:
         argv = [a.format(cap=cap, over=cap + 1) for a in sizes]
         out_path = tmp_path / "g.pbm"
         code, out, err = run(capsys, "figure", *argv, "--out", str(out_path))
+        assert code == 2 and out == "" and "error:" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            ["--id", "5", "--rows", "{over}", "--width", "1"],
+            ["--id", "6", "--rows", "8192", "--frac-digits", "0"],
+        ],
+        ids=["subtract-shear", "real"],
+    )
+    def test_quadratic_figure_rows(self, capsys, tmp_path, sizes):
+        argv = [a.format(over=cli.MAX_QUADRATIC_FIGURE_ROWS + 1) for a in sizes]
+        out_path = tmp_path / "g.pbm"
+        start = time.monotonic()
+        code, out, err = run(capsys, "figure", *argv, "--out", str(out_path))
+        assert time.monotonic() - start < 1.0
         assert code == 2 and out == "" and "error:" in err
         assert list(tmp_path.iterdir()) == []

@@ -1,5 +1,5 @@
-"""Sequence generators against enumeration oracles, plus the spec grammar
-and budget plumbing."""
+"""Sequence generators against enumeration oracles, plus the spec
+grammar.  Index caps are enforced by limit_detect and tested there."""
 
 import math
 from functools import lru_cache
@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from padiclab import (
-    BudgetExceeded,
     SequenceSpec,
     bell_mod,
     catalan_exact,
@@ -149,12 +148,6 @@ class TestCatalan:
         for m in range(257):
             assert (catalan_exact(m) % 2 == 1) == (m in mersenne)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            catalan_exact((1 << 15) + 1)
-        with pytest.raises(BudgetExceeded):
-            catalan_exact(100, budget=50)
-
 
 class TestMotzkin:
     def test_against_path_enumeration(self):
@@ -169,10 +162,6 @@ class TestMotzkin:
                 for k in range(m // 2 + 1)
             )
             assert motzkin_exact(m) == expected
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            motzkin_exact((1 << 13) + 1)
 
 
 class TestBell:
@@ -198,10 +187,6 @@ class TestBell:
     def test_huge_modulus_takes_plain_path(self):
         modulus = 1 << 80
         assert bell_mod(40, modulus) == bell_exact(40) % modulus
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            bell_mod((1 << 15) + 1, 8)
 
 
 # --- factorial valuations ---------------------------------------------------
@@ -271,10 +256,6 @@ class TestNormalizedFactorial:
             exact //= 2
         assert odd_factorial_mod(12, 10) == exact % (1 << 10)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            odd_factorial_mod((1 << 20) + 1, 4)
-
 
 # --- the uniform front end ---------------------------------------------------
 
@@ -335,19 +316,3 @@ class TestSequenceSpec:
         spec = parse_sequence_spec("bell@2*4^n")
         assert [spec.index(n) for n in range(4)] == [2, 8, 32, 128]
 
-
-class TestBudgetConfiguration:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PADICLAB_BUDGET", "10")
-        with pytest.raises(BudgetExceeded):
-            catalan_exact(11)
-        assert catalan_exact(10) == 16796
-
-    def test_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("PADICLAB_BUDGET", "lots")
-        with pytest.raises(ValueError):
-            catalan_exact(11)
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PADICLAB_BUDGET", "5")
-        assert catalan_exact(10, budget=20) == 16796

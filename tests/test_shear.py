@@ -1,5 +1,7 @@
 """Limit detection and the coefficient cascade."""
 
+import os
+
 import pytest
 
 from padiclab import (
@@ -80,6 +82,46 @@ class TestLimitDetect:
                 )
                 assert report.converged
                 assert report.limit.digits == teichmuller(k, p, 8).digits
+
+
+class TestIndexCap:
+    """PADICLAB_BUDGET caps the index of the expensive families; limit_detect
+    stops before the first schedule index past the cap."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["catalan@2^n", "motzkin@2^n", "bell@2*4^n", "factorial@2^n"],
+        ids=["catalan", "motzkin", "bell", "factorial"],
+    )
+    def test_small_cap_is_inconclusive(self, monkeypatch, text):
+        spec, cap, budget = parse_sequence_spec(text), 32, 7
+        monkeypatch.delenv("PADICLAB_BUDGET", raising=False)
+        uncapped = limit_detect(spec, 6, budget=budget)
+        monkeypatch.setenv("PADICLAB_BUDGET", str(cap))
+        capped = limit_detect(spec, 6, budget=budget)
+        below = sum(1 for n in range(budget) if spec.index(n) <= cap)
+        assert uncapped.terms_used == budget > below
+        assert capped.outcome == "inconclusive"
+        assert capped.limit is None and capped.stable_from is None
+        assert capped.terms_used == below
+        assert capped.agreement_depth == uncapped.agreement_depth[: below - 1]
+
+    def test_env_is_read_once_per_call(self, monkeypatch):
+        reads = []
+
+        class Environ(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                reads.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(os, "environ", Environ(os.environ, PADICLAB_BUDGET="64"))
+        report = limit_detect(parse_sequence_spec("catalan@2^n"), 3, budget=8)
+        assert report.outcome == "inconclusive" and report.terms_used == 7
+        assert reads.count("PADICLAB_BUDGET") == 1
 
 
 class TestExtractCoefficients:
