@@ -1,10 +1,10 @@
 """Exact arithmetic on finite-precision base-b digit expansions.
 
-A value here is a congruence class modulo base**precision, stored as a
-little-endian digit tuple (digit 0 is the units digit).  Precision is
-data, never an error: every operation states how many digits of its
-result are known.  Nothing is rounded, and equality is only ever
-asserted at a stated precision.
+A value here is a congruence class modulo base**precision, stored as
+its residue; its little-endian digits (digit 0 is the units digit) are
+a view decoded on first use.  Precision is data, never an error: every
+operation states how many digits of its result are known.  Nothing is
+rounded, and equality is only ever asserted at a stated precision.
 
 One codec converts between a residue and its digits.  Base 2 goes
 through ``format(value, "b")`` one way and ``int(text, 2)`` the other.
@@ -16,8 +16,9 @@ Both directions take a few big-integer divisions or products instead
 of one step per digit.
 
 All objects are immutable and all functions are pure, so everything in
-this module is safe for unrestricted concurrent use (a per-base table
-is never changed once built).
+this module is safe for unrestricted concurrent use: a per-base table
+is never changed once built, and threads that decode one value's digits
+at once all cache the same tuple.
 """
 
 from __future__ import annotations
@@ -134,12 +135,12 @@ def _value_of(digits: tuple[int, ...], base: int) -> int:
     return parts[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class PadicApprox:
     """A number known modulo base**precision.
 
-    ``digits[i]`` is the coefficient of base**i, so the represented
-    class is ``sum(d * base**i) mod base**len(digits)``.
+    The class is stored as its residue; ``digits[i]``, decoded from it on
+    first use, is the coefficient of base**i.
 
     Equality is precision-aware: two approximations with the same base
     compare equal iff they agree on their first ``min(precision)``
@@ -148,32 +149,39 @@ class PadicApprox:
     """
 
     base: int
-    digits: tuple[int, ...]
+    precision: int
+    _residue: int
 
-    def __post_init__(self) -> None:
-        _check_base(self.base)
-        object.__setattr__(self, "digits", tuple(self.digits))
-        _check_precision(len(self.digits))
-        if min(self.digits) < 0 or max(self.digits) >= self.base:
+    def __init__(self, base: int, digits: tuple[int, ...]) -> None:
+        _check_base(base)
+        digits = tuple(digits)
+        _check_precision(len(digits))
+        if min(digits) < 0 or max(digits) >= base:
             raise ValueError("digits must lie in [0, base)")
+        vars(self).update(base=base, precision=len(digits), digits=digits,
+                          _residue=_value_of(digits, base))
 
     @classmethod
     def from_residue(cls, value: int, base: int, precision: int) -> PadicApprox:
-        """Digit expansion of ``value mod base**precision``."""
+        """The class of ``value`` modulo base**precision."""
         _check_base(base)
         _check_precision(precision)
-        return cls(base, _digits_of(value, base, precision))
+        self = object.__new__(cls)
+        vars(self).update(base=base, precision=precision,
+                          _residue=value % base**precision)
+        return self
 
-    @property
-    def precision(self) -> int:
-        return len(self.digits)
+    @functools.cached_property
+    def digits(self) -> tuple[int, ...]:
+        """Little-endian digits of the residue, decoded on first use."""
+        return _digits_of(self._residue, self.base, self.precision)
 
     def modulus(self) -> int:
         return self.base**self.precision
 
     def residue(self) -> int:
         """The represented integer residue in [0, base**precision)."""
-        return _value_of(self.digits, self.base)
+        return self._residue
 
     def valuation(self) -> int | float:
         """Index of the lowest nonzero digit; math.inf if all are zero.
@@ -193,7 +201,7 @@ class PadicApprox:
             raise ValueError(
                 f"cannot extend precision {self.precision} to {precision}"
             )
-        return PadicApprox(self.base, self.digits[:precision])
+        return PadicApprox.from_residue(self._residue, self.base, precision)
 
     def _binop(self, other: PadicApprox, op) -> PadicApprox:
         if not isinstance(other, PadicApprox):
@@ -202,7 +210,7 @@ class PadicApprox:
             raise ValueError(f"base mismatch: {self.base} vs {other.base}")
         prec = min(self.precision, other.precision)
         return PadicApprox.from_residue(
-            op(self.residue(), other.residue()), self.base, prec
+            op(self._residue, other._residue), self.base, prec
         )
 
     def __add__(self, other: PadicApprox) -> PadicApprox:
@@ -220,13 +228,13 @@ class PadicApprox:
         Requires the units digit to be coprime to the base (for a prime
         base: nonzero).
         """
-        low = self.digits[0]
+        low = self._residue % self.base
         if math.gcd(low, self.base) != 1:
             raise ValueError(
                 f"lowest digit {low} shares a factor with base {self.base}"
             )
         return PadicApprox.from_residue(
-            pow(self.residue(), -1, self.modulus()), self.base, self.precision
+            pow(self._residue, -1, self.modulus()), self.base, self.precision
         )
 
     def shift(self, t: int) -> PadicApprox:
@@ -236,21 +244,19 @@ class PadicApprox:
         and high digits fall off).  For t < 0 the lowest -t digits must
         all be zero and the result loses -t digits of precision.
         """
-        if t >= 0:
-            if t >= self.precision:
-                return PadicApprox(self.base, (0,) * self.precision)
-            return PadicApprox(
-                self.base, (0,) * t + self.digits[: self.precision - t]
-            )
+        if t >= 0:  # a shift by the precision or more leaves only zeros
+            scaled = self._residue * self.base ** min(t, self.precision)
+            return PadicApprox.from_residue(scaled, self.base, self.precision)
         k = -t
         if k >= self.precision:
             raise ValueError(f"shift by {t} leaves no digits")
-        if any(self.digits[:k]):
+        high, low = divmod(self._residue, self.base**k)
+        if low:
             raise ValueError(
                 f"value is not divisible by {self.base}**{k}: low digits "
                 f"{self.digits[:k]} are not all zero"
             )
-        return PadicApprox(self.base, self.digits[k:])
+        return PadicApprox.from_residue(high, self.base, self.precision - k)
 
     def digit_string(self) -> str:
         """Digits as text, lowest-order first.  Bases above 10 have no
@@ -274,7 +280,7 @@ class PadicApprox:
         if self.base != other.base:
             return False
         n = min(self.precision, other.precision)
-        return self.digits[:n] == other.digits[:n]
+        return (self._residue - other._residue) % self.base**n == 0
 
     __hash__ = None  # equality is precision-relative
 
@@ -302,9 +308,9 @@ class PadicScalar:
 
     def __post_init__(self) -> None:
         if self.valuation is None:
-            if any(self.unit.digits):
+            if self.unit.residue():
                 raise ValueError("zero scalar must have an all-zero unit")
-        elif self.unit.digits[0] == 0:
+        elif self.unit.residue() % self.unit.base == 0:
             raise ValueError("unit part must have a nonzero units digit")
 
     @classmethod

@@ -42,7 +42,7 @@ WINDOW_TERMS = 3
 SENTINEL = -1
 
 
-class ExtractionError(Exception):
+class ExtractionError(ArithmeticError):
     """A cascade stage could not certify a limit from its rows."""
 
 

@@ -209,6 +209,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "zzz")
         assert code == 2 and "error:" in err
 
+    def test_extraction_error_exits_2(self, capsys, monkeypatch):
+        from padiclab import verify
+        from padiclab.shear import ExtractionError
+
+        def fail(*args):
+            raise ExtractionError("rows never agree on a single digit")
+
+        monkeypatch.setattr(verify, "extract_coefficients", fail)
+        code, out, err = run(capsys, "verify", "--only", "coefficient")
+        assert code == 2 and out == ""
+        assert err == "error: rows never agree on a single digit\n"
+
     def test_json_shape(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "norms", "--json")
         assert code == 0

@@ -1,13 +1,14 @@
 """Digit-expansion arithmetic: worked examples, brute-force oracles,
 and the metric invariants."""
 
+import dataclasses
 import math
 import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from padiclab import (
@@ -18,6 +19,7 @@ from padiclab import (
     padic_from_rational,
     valuation_and_norm,
 )
+from padiclab import core
 from padiclab.core import _digits_of
 
 
@@ -288,15 +290,31 @@ class TestUltrametric:
                 assert nxz == max(nxy, nyz)
 
 
-def test_round_trip_through_rationals():
-    rng = random.Random(5150)
-    for _ in range(200):
-        n = rng.randint(-10**6, 10**6) or 1
-        d = rng.randint(1, 10**6)
-        s = padic_from_rational(n, d, 2, 24)
-        rhs = Fraction(n) / Fraction(2) ** s.valuation
-        assert rhs.denominator == 1
-        assert (s.unit.residue() * d - rhs.numerator) % (1 << 24) == 0
+@given(
+    base=st.integers(2, 36),
+    precision=st.integers(1, 500),
+    num_unit=st.integers(-10**30, 10**30),
+    num_power=st.integers(0, 6),
+    den_unit=st.integers(1, 10**30),
+    den_power=st.integers(0, 6),
+)
+@example(base=2, precision=24, num_unit=-12345, num_power=3,
+         den_unit=999, den_power=5)
+def test_round_trip_through_rationals(
+    base, precision, num_unit, num_power, den_unit, den_power
+):
+    # The reduced numerator is made indivisible by base, so that the
+    # valuation is known, and the reduced denominator coprime to base,
+    # which a composite base needs.
+    num_unit = num_unit * base + 1 + num_unit % (base - 1)
+    while math.gcd(den_unit, base) > 1:
+        den_unit //= math.gcd(den_unit, base)
+    num = num_unit * base**num_power
+    den = den_unit * base**den_power
+    s = padic_from_rational(num, den, base, precision)
+    assert s.valuation == num_power - den_power
+    assert s.precision == precision
+    assert (s.unit.residue() * den_unit - num_unit) % base**precision == 0
 
 
 def draw_residue(data, base, label):
@@ -392,3 +410,72 @@ class TestCodec:
         for digits in ((0, 3), (-1, 0), (2,)):
             with pytest.raises(ValueError):
                 PadicApprox(2, digits)
+
+
+class TestResidueState:
+    """PadicApprox stores its residue; digits are a view decoded once."""
+
+    @pytest.fixture
+    def codec_calls(self, monkeypatch):
+        calls = []
+        for name in ("_digits_of", "_value_of"):
+            def counted(*args, _name=name, _codec=getattr(core, name)):
+                calls.append(_name)
+                return _codec(*args)
+
+            monkeypatch.setattr(core, name, counted)
+        return calls
+
+    def test_arithmetic_makes_no_codec_call(self, codec_calls):
+        x = PadicApprox.from_residue(5**400, 3, 300)
+        y = PadicApprox.from_residue(-(7**200), 3, 250)
+        results = [x + y, x - y, x * y, x.invert(), x.shift(7),
+                   x.shift(7).shift(-7), x.truncate(100)]
+        assert x == x.truncate(100) and x != y
+        assert (x * x.invert()).residue() == 1
+        assert PadicScalar.from_residue(9 * 5**40, 3, 60).valuation == 2
+        assert codec_calls == []
+        first = results[2].digits
+        assert codec_calls == ["_digits_of"]
+        assert results[2].digits is first
+        assert codec_calls == ["_digits_of"]
+        assert first == brute_digits(5**400 * -(7**200), 3, 250)
+
+    def test_constructor_keeps_its_digits(self, codec_calls):
+        digits = (2, 0, 1, 1)
+        x = PadicApprox(3, digits)
+        assert x.residue() == 2 + 9 + 27 and x.precision == 4
+        assert x.digits is digits
+        assert codec_calls == ["_value_of"]
+
+    def test_constructor_checks_in_order(self):
+        with pytest.raises(ValueError, match="base must be at least 2"):
+            PadicApprox(1, ())
+        with pytest.raises(ValueError, match="precision must be at least 1"):
+            PadicApprox(2, ())
+        with pytest.raises(ValueError, match=r"digits must lie in \[0, base\)"):
+            PadicApprox(3, (0, 3))
+
+    def test_immutable_and_unhashable(self):
+        x = PadicApprox.from_residue(11, 2, 5)
+        x.digits  # assignment must fail with the digits cached, too
+        for name in ("base", "precision", "digits", "_residue"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, 0)
+        with pytest.raises(TypeError):
+            hash(x)
+        assert x.residue() == 11 and x.digits == (1, 1, 0, 1, 0)
+
+    @given(st.data())
+    def test_equality_matches_digit_prefixes(self, data):
+        base = data.draw(st.integers(2, 36), label="base")
+        a, x = draw_residue(data, base, "x")
+        b, y = draw_residue(data, base, "y")
+        # Make y agree with x on a drawn number of low digits, so that
+        # both outcomes of == come up.
+        agree = base ** data.draw(st.integers(0, y.precision), label="agree")
+        y = PadicApprox.from_residue(b - b % agree + a % agree, base, y.precision)
+        n = min(x.precision, y.precision)
+        expected = x.digits[:n] == y.digits[:n]
+        assert (x == y) is expected and (y == x) is expected
+        assert (x != y) is not expected
