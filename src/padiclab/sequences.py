@@ -8,11 +8,11 @@ small text grammar::
 
 e.g. ``power:3,2@2^n/2^600``, ``catalan@2^n/2^8``, ``bell@2*4^n``.
 
-Generators are plain functions of their index.  Families whose cost
-grows with the index carry caps (``index_cap``), which the environment
-variable PADICLAB_BUDGET overrides all at once; ``shear.limit_detect``
-enforces them before it generates a term, so a capped run ends
-"inconclusive" rather than silently truncating.
+Generators are plain functions of their index; Bell steps a recurrence
+mod b**a.  Families whose cost grows with the index carry caps
+(``index_cap``), overridden all at once by the PADICLAB_BUDGET variable;
+``shear.limit_detect`` enforces them before it generates a term, so a
+capped run ends "inconclusive" rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
-import numpy as np
-
-from .analysis import euler_phi_prime_power, is_prime
+from .analysis import is_prime
 from .core import PadicApprox
 
 __all__ = [
@@ -44,8 +44,9 @@ __all__ = [
 ]
 
 
-# Caps on the sequence index m, not on the schedule step n.  None means
-# the generator is cheap at any index (log-time algorithms).
+# Caps on the sequence index m, not on the schedule step n.  They fix
+# which terms a capped run reports, so a faster generator keeps its cap.
+# None means the generator is cheap at any index (log-time algorithms).
 DEFAULT_INDEX_CAPS: dict[str, int | None] = {
     "power": None,
     "fibonacci": None,
@@ -59,6 +60,10 @@ _FAMILIES = tuple(DEFAULT_INDEX_CAPS)
 _FAMILY_ALIASES = {"power-tower": "power", "normalized-factorial": "factorial"}
 
 _ENV_BUDGET = "PADICLAB_BUDGET"
+
+# Tower bases are proved prime by trial division, up to sqrt(p)/2 steps:
+# 2**15, a few ms, below this bound.  Larger p are refused untested.
+MAX_TOWER_BASE = 1 << 32
 
 
 def index_cap(family: str) -> int | None:
@@ -80,13 +85,13 @@ def index_cap(family: str) -> int | None:
 
 
 def power_term(k: int, p: int, m: int, a: int) -> int:
-    """k**m mod p**a, reducing the exponent through the unit group when
-    gcd(k, p) = 1.  Bit-exact with the direct definition."""
+    """k**m mod p**a for prime p (callers check it), reducing the exponent
+    mod phi(p**a) when gcd(k, p) = 1.  Bit-exact with the definition."""
     if a < 1:
         raise ValueError(f"precision must be at least 1, got {a}")
     modulus = p**a
     if math.gcd(k, p) == 1:
-        m = m % euler_phi_prime_power(p, a)
+        m = m % ((p - 1) * p ** (a - 1))
     return pow(k, m, modulus)
 
 
@@ -149,45 +154,46 @@ def motzkin_exact(m: int) -> int:
     return cur
 
 
-def _bell_mod_rows(m: int, modulus: int) -> int:
-    row = [1 % modulus]
-    for _ in range(m):
-        new = [row[-1]]
-        acc = row[-1]
-        for x in row:
-            acc = (acc + x) % modulus
-            new.append(acc)
-        row = new
-    return row[0]
+def bell_mod(m: int, base: int, precision: int) -> int:
+    """B_m mod b**a, b = base and a = precision, by a proved recurrence.
 
+    Lemma.  Let L be the linear map on integer polynomials with
+    L(x**n) = B_n, and (x)_b = x(x-1)...(x-b+1).  Dobinski's formula
+    B_n = e**-1 * sum_j j**n / j! gives L((x)_b * f(x)) = L(f(x+b)).
+    Since f(x+b) - f(x) = sum_(i>=1) b**i * f^(i)(x) / i!, induction on
+    j gives L(Q**j * f) = 0 mod b**ceil(j/2) with Q = (x)_b - 1.  So
+    D = Q**(2a-1), monic of degree d = b(2a-1), yields
+    B_(n+d) = -sum_(i<d) D_i * B_(n+i)  (mod b**a)  for every n >= 0.
 
-def _bell_mod_vectorized(m: int, modulus: int) -> int:
-    # Safe in int64: row entries stay below modulus, so a cumulative sum
-    # is bounded by modulus * (m + 2), which the caller has checked.
-    row = np.array([1 % modulus], dtype=np.int64)
-    for _ in range(m):
-        new = np.empty(len(row) + 1, dtype=np.int64)
-        new[0] = row[-1]
-        np.cumsum(row, out=new[1:])
-        new[1:] += row[-1]
-        new %= modulus
-        row = new
-    return int(row[0])
-
-
-def bell_mod(m: int, modulus: int) -> int:
-    """B_m mod modulus via the Bell triangle, one row retained.
-
-    Additions only, so any modulus is sound; small moduli take a
-    vectorized path.
+    The Bell triangle gives B_0 .. B_min(m, d-1) in O(d**2), the
+    recurrence the rest in O(m*d).
     """
     if m < 0:
         raise ValueError(f"index must be nonnegative, got {m}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be at least 2, got {modulus}")
-    if m >= 32 and modulus * (m + 2) < 1 << 62:
-        return _bell_mod_vectorized(m, modulus)
-    return _bell_mod_rows(m, modulus)
+    if base < 2 or precision < 1:
+        raise ValueError(f"modulus {base}**{precision} must be at least 2")
+    modulus = base**precision
+    d = base * (2 * precision - 1)
+    window, row = deque(maxlen=min(m + 1, d)), [1]
+    for _ in range(window.maxlen):  # the Bell triangle, one row retained
+        window.append(row[0])
+        new = [row[-1]]
+        for x in row:
+            new.append((new[-1] + x) % modulus)
+        row = new
+    if m >= d:
+        coeffs = [1]  # D, lowest degree first
+        for _ in range(2 * precision - 1):
+            prod = coeffs
+            for j in range(base):  # prod * (x - j)
+                pairs = zip([0] + prod, prod + [0])
+                prod = [(hi - j * lo) % modulus for hi, lo in pairs]
+            pairs = zip(prod, coeffs + [0] * base)
+            coeffs = [(x - y) % modulus for x, y in pairs]
+        step = [-c % modulus for c in coeffs[:d]]
+        for _ in range(m - d + 1):
+            window.append(sum(map(mul, step, window)) % modulus)
+    return window[-1]
 
 
 def legendre_valuation(m: int, p: int) -> int:
@@ -258,6 +264,10 @@ class SequenceSpec:
         if self.family == "power":
             if self.k is None or self.p is None:
                 raise ValueError("power towers need k and p parameters")
+            if self.p >= MAX_TOWER_BASE:
+                raise ValueError(
+                    f"tower base {self.p} exceeds the limit {MAX_TOWER_BASE}"
+                )
             if not is_prime(self.p):
                 raise ValueError(f"tower base {self.p} must be prime")
             if self.base is not None and self.base != self.p:
@@ -343,7 +353,7 @@ def sequence_term(
     elif spec.family == "motzkin":
         value = motzkin_exact(m)
     elif spec.family == "bell":
-        value = bell_mod(m, b**a)
+        value = bell_mod(m, b, a)
     else:
         value = odd_factorial_mod(m, a)
     return PadicApprox.from_residue(value, b, a)

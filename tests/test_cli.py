@@ -292,6 +292,32 @@ class TestBounds:
         code, out, err = run(capsys, "limit", spec, *prec)
         assert code == 2 and out == "" and "error:" in err
 
+    def test_huge_tower_base_fails_fast(self, capsys):
+        start = time.monotonic()
+        code, out, err = run(
+            capsys, "limit", "power:3,1000000000000000003@2^n", "--prec", "3"
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_largest_tower_base_is_fast(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(
+            capsys, "limit", "power:3,4294967291@2^n", "--prec", "3",
+            "--budget", "1024", "--json",
+        )
+        assert time.monotonic() - start < 1.0
+        assert code == 3
+        assert json.loads(out) == {
+            "agreement_depth": [0] * 1023,
+            "converged": False,
+            "limit": None,
+            "outcome": "not-converged",
+            "stable_from": None,
+            "terms_used": 1024,
+        }
+
     def test_limit_budget(self, capsys):
         budget = str(cli.MAX_LIMIT_BUDGET + 1)
         code, out, err = run(

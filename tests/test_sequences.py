@@ -2,12 +2,16 @@
 grammar.  Index caps are enforced by limit_detect and tested there."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import padiclab
 from padiclab import (
     SequenceSpec,
     bell_mod,
@@ -21,7 +25,7 @@ from padiclab import (
     power_tower_term,
     sequence_term,
 )
-from padiclab.sequences import _bell_mod_rows
+from padiclab.sequences import MAX_TOWER_BASE
 
 
 # --- enumeration oracles -------------------------------------------------
@@ -54,12 +58,45 @@ def motzkin_paths(length, height):
     )
 
 
+@lru_cache(maxsize=None)
 def bell_exact(m):
     """Oracle: the binomial recurrence B_{n+1} = sum C(n,k) B_k."""
-    bells = [1]
-    for n in range(m):
-        bells.append(sum(math.comb(n, k) * bells[k] for k in range(n + 1)))
-    return bells[m]
+    if m == 0:
+        return 1
+    return sum(math.comb(m - 1, k) * bell_exact(k) for k in range(m))
+
+
+def bell_triangle(m, modulus):
+    """Oracle: B_m mod modulus by the Bell triangle, one row retained."""
+    row = [1 % modulus]
+    for _ in range(m):
+        new = [row[-1]]
+        acc = row[-1]
+        for x in row:
+            acc = (acc + x) % modulus
+            new.append(acc)
+        row = new
+    return row[0]
+
+
+def bell_annihilator(base, exponent):
+    """((x)_b - 1)**exponent over the integers, lowest degree first."""
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    q = [1]
+    for j in range(base):
+        q = times(q, [-j, 1])
+    q[0] -= 1
+    d = [1]
+    for _ in range(exponent):
+        d = times(d, q)
+    return d
 
 
 # --- power towers ---------------------------------------------------------
@@ -166,27 +203,71 @@ class TestMotzkin:
 
 class TestBell:
     def test_small_values(self):
-        assert bell_mod(4, 100) == 15
-        assert bell_mod(0, 7) == 1
+        assert bell_mod(4, 10, 2) == 15
+        assert bell_mod(0, 7, 1) == 1
 
     def test_b16_mod_4(self):
         assert bell_exact(16) == 10480142147
-        assert bell_mod(16, 4) == 3
+        assert bell_mod(16, 2, 2) == 3
 
     def test_against_exact_recurrence(self):
         for m in range(21):
             exact = bell_exact(m)
-            for modulus in (2, 8, 97, 10**9 + 7):
-                assert bell_mod(m, modulus) == exact % modulus
+            for base, precision in ((2, 1), (2, 3), (97, 1), (10**9 + 7, 1)):
+                assert bell_mod(m, base, precision) == exact % base**precision
 
-    def test_vectorized_path_matches_rows(self):
-        for m in (33, 64, 100):
-            for modulus in (8, 125, 10**6):
-                assert bell_mod(m, modulus) == _bell_mod_rows(m, modulus)
+    @given(st.integers(2, 12), st.integers(1, 6), st.integers(0, 399))
+    @example(12, 6, 131)
+    @example(12, 6, 132)
+    def test_matches_exact_bell_numbers(self, base, precision, m):
+        # m < d = base * (2 * precision - 1) is the triangle alone, m >= d
+        # steps the recurrence; the examples sit either side of d = 132.
+        assert bell_mod(m, base, precision) == bell_exact(m) % base**precision
 
-    def test_huge_modulus_takes_plain_path(self):
-        modulus = 1 << 80
-        assert bell_mod(40, modulus) == bell_exact(40) % modulus
+    def test_matches_triangle_at_large_index(self):
+        cases = ((2, 3), (2, 16), (3, 5), (10, 4))
+        modulus = math.lcm(*(b**a for b, a in cases))
+        for m in (1000, 4097):
+            oracle = bell_triangle(m, modulus)
+            for b, a in cases:
+                assert bell_mod(m, b, a) == oracle % b**a
+
+    def test_huge_modulus(self):
+        for m in (40, 400):
+            assert bell_mod(m, 2, 80) == bell_exact(m) % (1 << 80)
+        assert bell_mod(40, 2**64 + 13, 1) == bell_exact(40) % (2**64 + 13)
+
+    def test_annihilator_exponent(self):
+        # D = ((x)_b - 1)**(2a-1) annihilates B mod b**a; 2a-2 is not
+        # enough for b = 2.
+        def annihilates(base, precision, exponent):
+            coeffs = bell_annihilator(base, exponent)
+            return all(
+                sum(c * bell_exact(n + i) for i, c in enumerate(coeffs))
+                % base**precision == 0
+                for n in range(40)
+            )
+
+        for base in range(2, 8):
+            for precision in range(1, 5):
+                assert annihilates(base, precision, 2 * precision - 1)
+        for precision in (2, 3, 4):
+            assert not annihilates(2, precision, 2 * precision - 2)
+
+    def test_bad_arguments(self):
+        for args in ((-1, 2, 3), (5, 1, 3), (5, 2, 0)):
+            with pytest.raises(ValueError):
+                bell_mod(*args)
+
+    def test_import_leaves_numpy_out(self):
+        src = os.path.dirname(os.path.dirname(padiclab.__file__))
+        code = "import sys, padiclab; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout == "False\n"
 
 
 # --- factorial valuations ---------------------------------------------------
@@ -311,6 +392,14 @@ class TestSequenceSpec:
         ):
             with pytest.raises(ValueError):
                 parse_sequence_spec(text)
+
+    def test_tower_base_bound(self):
+        assert MAX_TOWER_BASE == 1 << 32
+        p = 4294967291  # the largest prime below the bound
+        spec = parse_sequence_spec(f"power:3,{p}@2^n")
+        assert sequence_term(spec, 5, 3).residue() == pow(3, 32, p**3)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            parse_sequence_spec("power:3,4294967311@2^n")  # prime, above
 
     def test_schedule_index(self):
         spec = parse_sequence_spec("bell@2*4^n")
