@@ -64,24 +64,36 @@ def _factorize(n: int) -> dict[int, int]:
 def _log_series(u: int, p: int, target: int) -> int:
     """log(u) mod p**target for u in the series convergence domain.
 
-    Sums -x**i/i with x = 1 - u at a guarded working precision; the
-    division by i costs at most v_p(i) digits per term, which the guard
-    absorbs.  Stops at the first term whose valuation reaches the
-    working precision, with a hard cap to guarantee termination.
+    Argument reduction: log u = log(y) / p**k with y = u**(p**k) and
+    k = isqrt(target) // 2, the paper's log u = lim (u**(p**n) - 1)/p**n
+    taken at a finite n.  Each p-th power raises the valuation of
+    1 - y by at least one, so the series below needs about
+    sqrt(target) terms instead of about target.  It runs on y to
+    target + k digits.  The division by p**k is exact: log is a
+    homomorphism on 1 + pZ_p (1 + 4Z_2 for p = 2), so log y = p**k *
+    log u with log u in Z_p, and the residue of log y mod p**(target+k)
+    is p**k times that of log u mod p**target.  It is checked anyway.
+
+    The series sums -x**i/i with x = 1 - y at a guarded working
+    precision; the division by i costs at most v_p(i) digits per term,
+    which the guard absorbs.  It stops at the first term whose
+    valuation reaches the working precision, with a hard cap to
+    guarantee termination.
     """
-    if u == 1:
-        return 0
-    x = 1 - u
-    vx = base_multiplicity(x, p)
+    k = math.isqrt(target) // 2
+    target += k
     guard = math.ceil(
         math.log(_SERIES_TERM_FACTOR * (target + 8), p)
     ) + _LOG_GUARD
     work = target + guard
     cap = _SERIES_TERM_FACTOR * work
     modulus = p**work
+    x = (1 - pow(u, p**k, modulus)) % modulus
+    if x == 0:  # y = 1 to the working precision, so log y is 0 there
+        return 0
+    vx = base_multiplicity(x, p)
     total = 0
-    x_red = x % modulus
-    xi = x_red
+    xi = x
     i = 1
     while i * vx - base_multiplicity(i, p) < work:
         if i > cap:  # unreachable for valid inputs; keeps the loop finite
@@ -91,9 +103,12 @@ def _log_series(u: int, p: int, target: int) -> int:
         if term % p**e:
             raise ArithmeticError("series term lost exactness")
         total = (total + term // p**e) % modulus
-        xi = (xi * x_red) % modulus
+        xi = (xi * x) % modulus
         i += 1
-    return (-total) % p**target
+    log_u, rem = divmod((-total) % p**target, p**k)
+    if rem:
+        raise ArithmeticError("log(u**(p**k)) is not divisible by p**k")
+    return log_u
 
 
 def padic_log(u: int, p: int, precision: int) -> PadicScalar:

@@ -24,7 +24,7 @@ import sys
 
 from .core import padic_from_rational
 from .grids import FIGURE_DEFAULTS, emit_image, figure_grid
-from .sequences import parse_sequence_spec
+from .sequences import index_cap, parse_sequence_spec
 from .shear import limit_detect
 from .verify import run_checks
 
@@ -46,11 +46,17 @@ _LIMIT_EXITS = {
 # cells, rows x columns, of one figure grid after its presets are
 # merged; rows of figures 5 and 6, whose cost grows with rows**2 (row n
 # is known to width + 2n digits, or divides numbers of n*log2(n) bits),
-# which the cell bound does not limit.  Worst case measured on a 2-core
-# Intel Xeon: ``digits --base 10 --prec 1000000 --int -1 --json``, 17.7 s.
+# which the cell bound does not limit; for a Bell spec mod b**a, the
+# min(m + 1, d) Bell triangle rows at its largest sampled index m, with
+# d = b(2a-1) the order of its recurrence: ``bell_mod`` costs
+# O(min(m, d)**2 + m*d), and once d is within the bound the index cap
+# limits the m*d part (about 3 s at index 2**15, d = 510).
+# Worst case measured on a 2-core Intel Xeon:
+# ``digits --base 10 --prec 1000000 --int -1 --json``, 17.7 s.
 MAX_DIGITS_PRECISION = 10**6
 MAX_LIMIT_PRECISION = 4096
 MAX_LIMIT_BUDGET = 1024
+MAX_BELL_ORDER = 512
 MAX_FIGURE_CELLS = 2**23
 MAX_QUADRATIC_FIGURE_ROWS = 4096
 
@@ -190,6 +196,11 @@ def _cmd_limit(args) -> int:
     precision = args.prec if args.prec is not None else spec.precision
     _check_bound("precision", precision, MAX_LIMIT_PRECISION)
     _check_bound("budget", args.budget, MAX_LIMIT_BUDGET)
+    if spec.family == "bell" and precision is not None:
+        order = spec.reduction_base * (2 * precision - 1)
+        last = min(spec.index(max(args.budget - 1, 0)), index_cap("bell"))
+        rows = min(order, last + 1)
+        _check_bound("Bell triangle rows", rows, MAX_BELL_ORDER)
     report = limit_detect(spec, args.prec, budget=args.budget)
     if args.json:
         print(json.dumps(report.to_record(), sort_keys=True))

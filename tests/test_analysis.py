@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from padiclab import (
     euler_phi_prime_power,
@@ -25,6 +27,83 @@ def brute_log_series(u, bits, terms):
     assert total.denominator % 2 == 1
     inv = pow(total.denominator, -1, 1 << bits)
     return total.numerator * inv % (1 << bits)
+
+
+def unreduced_log(u, p, target):
+    """Oracle: log(u) mod p**target from the series summed on u itself,
+    without argument reduction, at a working precision whose guard
+    covers the digits lost to the divisions by i."""
+    if p == 2 and u % 4 == 3:
+        doubled = unreduced_log(u * u, 2, target + 1)
+        assert doubled % 2 == 0
+        return doubled // 2
+
+    def v(n):
+        t = 0
+        while n % p == 0:
+            n //= p
+            t += 1
+        return t
+
+    guard = math.ceil(math.log(8 * (target + 8), p)) + 4
+    work = target + guard
+    modulus = p**work
+    x = (1 - u) % modulus
+    if x == 0:
+        return 0
+    vx = v(x)
+    total, xi, i = 0, x, 1
+    while i * vx - v(i) < work:
+        e = v(i)
+        term = xi * pow(i // p**e, -1, modulus) % modulus
+        assert term % p**e == 0
+        total = (total + term // p**e) % modulus
+        xi = xi * x % modulus
+        i += 1
+    return -total % p**target
+
+
+class TestReducedLog:
+    """padic_log reduces its argument; the plain series is the oracle."""
+
+    @given(
+        p=st.sampled_from((2, 3, 5, 7)),
+        precision=st.integers(1, 600),
+        x=st.integers(-10**12, 10**12),
+    )
+    @example(p=2, precision=600, x=1)  # u = 3: the u = 3 mod 4 branch
+    @example(p=7, precision=600, x=10**12)
+    def test_matches_unreduced_series(self, p, precision, x):
+        u = 2 * x + 1 if p == 2 else 1 + p * x
+        got = padic_log(u, p, precision).to_approx(precision).residue()
+        assert got == unreduced_log(u, p, precision)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_targets_without_reduction(self, p):
+        # isqrt(target) // 2 is 0 below 4: the series runs on u itself.
+        for precision in (1, 2, 3, 4):
+            for u in (1 + 4 * p, 1 - 4 * p, 1 + p**3, 3 if p == 2 else 1 + p):
+                got = padic_log(u, p, precision).to_approx(precision).residue()
+                assert got == unreduced_log(u, p, precision)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_high_valuation(self, p):
+        # v(log(1 + p**50)) = 50 for every p here: the first series term.
+        u = 1 + p**50
+        for precision in (30, 50, 51, 99, 600):
+            s = padic_log(u, p, precision)
+            if precision <= 50:
+                assert s.is_zero
+            else:
+                assert s.valuation == 50
+            got = s.to_approx(precision).residue()
+            assert got == unreduced_log(u, p, precision)
+
+    def test_three_mod_four(self):
+        for u in (3, 7, -1 + 4 * 10**9, -5):
+            for precision in (1, 2, 3, 17, 64, 257):
+                got = padic_log(u, 2, precision).to_approx(precision).residue()
+                assert got == unreduced_log(u, 2, precision)
 
 
 class TestLog:

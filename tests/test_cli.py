@@ -318,6 +318,75 @@ class TestBounds:
             "terms_used": 1024,
         }
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell@2^n/1000003^2", "--budget", "15"],
+            ["bell@2^n", "--prec", "512", "--budget", "14"],
+            # Index 512 < d = 513: one row more than the bound.
+            [f"bell@2^n/{cli.MAX_BELL_ORDER + 1}^1", "--budget", "10"],
+        ],
+        ids=["large-base", "large-precision", "just-over"],
+    )
+    def test_bell_rows_fail_fast(self, capsys, argv):
+        start = time.monotonic()
+        code, out, err = run(capsys, "limit", *argv)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: Bell triangle rows ")
+        assert f"exceeds the limit {cli.MAX_BELL_ORDER}" in err
+
+    def test_bell_rows_at_the_limit(self, capsys):
+        # Order 512 at index 2**10: the full triangle, then the recurrence.
+        code, out, _ = run(
+            capsys, "limit", f"bell@2^n/{cli.MAX_BELL_ORDER}^1", "--budget", "11"
+        )
+        assert code == 3 and out == "not-converged\nagreement" + " 0" * 10 + "\n"
+
+    @pytest.mark.parametrize(
+        "argv, depths",
+        [
+            (["bell@2^n", "--prec", "200", "--budget", "8"], 7),
+            (["bell@2^n/1000003^2", "--budget", "5"], 4),
+            ([f"bell@2^n/{cli.MAX_BELL_ORDER + 1}^1", "--budget", "3"], 2),
+        ],
+        ids=["high-precision", "large-base", "just-over-order"],
+    )
+    def test_bell_large_order_small_index_runs(self, capsys, argv, depths):
+        # The order exceeds the bound, but the sampled indices stay below
+        # it, so only a small triangle is built.
+        code, out, _ = run(capsys, "limit", *argv, "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "agreement_depth": [0] * depths,
+            "converged": False,
+            "limit": None,
+            "outcome": "not-converged",
+            "stable_from": None,
+            "terms_used": depths + 1,
+        }
+
+    def test_bell_rows_within_env_cap(self, capsys, monkeypatch):
+        # Indices past PADICLAB_BUDGET are never generated.
+        monkeypatch.setenv("PADICLAB_BUDGET", "100")
+        code, out, _ = run(
+            capsys, "limit", "bell@2^n/1000003^2", "--budget", "16", "--json"
+        )
+        assert code == 4
+        assert json.loads(out)["terms_used"] == 7
+
+    def test_bell_default_sizes_allowed(self, capsys):
+        code, out, _ = run(capsys, "limit", "bell@2^n", "--prec", "16", "--json")
+        assert code == 3
+        assert json.loads(out) == {
+            "agreement_depth": [0] * 15,
+            "converged": False,
+            "limit": None,
+            "outcome": "not-converged",
+            "stable_from": None,
+            "terms_used": 16,
+        }
+
     def test_limit_budget(self, capsys):
         budget = str(cli.MAX_LIMIT_BUDGET + 1)
         code, out, err = run(

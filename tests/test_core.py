@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from padiclab import (
     PadicApprox,
     PadicScalar,
+    base_multiplicity,
     digit_string,
     padic_from_integer,
     padic_from_rational,
@@ -31,6 +32,41 @@ def brute_digits(m, base, precision):
         out.append(m % base)
         m //= base
     return tuple(out)
+
+
+def brute_multiplicity(m, base):
+    """Oracle: one division per factor of base."""
+    if m == 0:
+        return math.inf
+    t = 0
+    while m % base == 0:
+        m //= base
+        t += 1
+    return t
+
+
+class TestBaseMultiplicity:
+    @given(
+        base=st.integers(2, 36),
+        v=st.integers(0, 400),
+        unit=st.integers(1, 10**40),
+        sign=st.sampled_from((1, -1)),
+    )
+    @example(base=3, v=255, unit=1, sign=1)
+    @example(base=3, v=256, unit=1, sign=-1)
+    @example(base=10, v=400, unit=7, sign=1)
+    @example(base=2, v=0, unit=1, sign=-1)
+    def test_matches_per_digit_loop(self, base, v, unit, sign):
+        m = sign * unit * base**v
+        assert base_multiplicity(m, base) == brute_multiplicity(m, base)
+
+    def test_zero_is_infinite(self):
+        for base in (2, 3, 10, 36):
+            assert base_multiplicity(0, base) == math.inf
+
+    def test_bad_base(self):
+        with pytest.raises(ValueError):
+            base_multiplicity(8, 1)
 
 
 class TestFromInteger:
@@ -138,6 +174,31 @@ class TestInvert:
             padic_from_integer(6, 2, 4).invert()
         with pytest.raises(ValueError):
             padic_from_integer(2, 4, 3).invert()
+
+    def test_non_unit_message(self):
+        for base, value, low in ((10, 1234, 4), (6, 3 + 6 * 5**90, 3)):
+            with pytest.raises(
+                ValueError,
+                match=f"^lowest digit {low} shares a factor with base {base}$",
+            ):
+                padic_from_integer(value, base, 777).invert()
+
+    @given(st.data())
+    def test_matches_pow(self, data):
+        # The Hensel chain halves the precision rounding up, so
+        # precisions that are not powers of two take uneven steps.
+        base = data.draw(st.integers(2, 36), label="base")
+        precision = data.draw(
+            st.integers(1, 2000).filter(lambda n: n & (n - 1)), label="precision"
+        )
+        modulus = base**precision
+        value = data.draw(st.integers(0, modulus - 1), label="value")
+        units = [d for d in range(1, base) if math.gcd(d, base) == 1]
+        low = data.draw(st.sampled_from(units), label="units digit")
+        value += low - value % base
+        inv = PadicApprox.from_residue(value, base, precision).invert()
+        assert inv.precision == precision
+        assert inv.residue() == pow(value, -1, modulus)
 
 
 class TestValuationAndNorm:
